@@ -94,15 +94,17 @@
 #include "support/Trace.h"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace cogent;
@@ -123,6 +125,25 @@ static void printUsage(const char *Argv0) {
                "[--request-deadline-ms M] [--telemetry-json FILE] "
                "[--stats-interval-ms N] [shared flags]\n",
                Argv0, Argv0);
+}
+
+/// The one numeric parser for flag values and extents: all of \p Text must
+/// be a finite T that is >= 0 (> 0 with \p Positive). Empty input,
+/// trailing characters ("32x"), a minus sign on an unsigned T, overflow
+/// and "nan"/"inf" all yield std::nullopt instead of a coerced value.
+template <typename T>
+static std::optional<T> parseNumber(const std::string &Text, bool Positive) {
+  T Value{};
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Ec != std::errc() || Ptr != End)
+    return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(Value))
+      return std::nullopt;
+  if (Value < T(0) || (Positive && Value == T(0)))
+    return std::nullopt;
+  return Value;
 }
 
 /// Writes \p Content to \p Path; false on any I/O failure.
@@ -173,8 +194,9 @@ static int runBatch(const std::string &BatchPath, const gpu::DeviceSpec &Device,
     int64_t Extent = 32;
     std::string ExtentToken;
     if (LS >> ExtentToken) {
-      Extent = std::atoll(ExtentToken.c_str());
-      if (Extent <= 0) {
+      std::optional<int64_t> Parsed =
+          parseNumber<int64_t>(ExtentToken, /*Positive=*/true);
+      if (!Parsed) {
         // A malformed line is that request's typed failure, not the
         // batch's: report it, count it, keep going.
         std::fprintf(stderr, "error: line %u: %s: extent '%s' must be a "
@@ -184,6 +206,7 @@ static int runBatch(const std::string &BatchPath, const gpu::DeviceSpec &Device,
         ++BadLines;
         continue;
       }
+      Extent = *Parsed;
     }
     service::ServiceRequest Request;
     Request.Spec = Spec;
@@ -318,6 +341,23 @@ int main(int Argc, char **Argv) {
   unsigned Jobs = 4;
   double RequestDeadlineMs = 0.0;
 
+  // Stores \p Text into \p Out through parseNumber; false (after printing a
+  // usage error) when it is not a whole, in-range number.
+  auto numberArg = [](auto &Out, const char *What, const std::string &Text,
+                      bool Positive = false) {
+    using T = std::remove_reference_t<decltype(Out)>;
+    std::optional<T> Value = parseNumber<T>(Text, Positive);
+    if (!Value) {
+      std::fprintf(stderr, "error: %s must be a %s %s, got '%s'\n", What,
+                   Positive ? "positive" : "non-negative",
+                   std::is_integral_v<T> ? "integer" : "number",
+                   Text.c_str());
+      return false;
+    }
+    Out = *Value;
+    return true;
+  };
+
   // Positional arguments (the spec, then the extent) may appear anywhere
   // relative to the flags.
   for (int I = 1; I < Argc; ++I) {
@@ -334,22 +374,16 @@ int main(int Argc, char **Argv) {
       // Path captured by fileArg.
     } else if (std::string IntervalArg;
                fileArg("--stats-interval-ms", Argc, Argv, &I, &IntervalArg)) {
-      StatsIntervalMs = std::atof(IntervalArg.c_str());
+      if (!numberArg(StatsIntervalMs, "--stats-interval-ms", IntervalArg,
+                     /*Positive=*/true))
+        return 2;
       SawStatsInterval = true;
-      if (StatsIntervalMs <= 0.0) {
-        std::fprintf(stderr,
-                     "error: --stats-interval-ms must be positive\n");
-        return 2;
-      }
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      long long N = std::atoll(Argv[++I]);
-      if (N < 0) {
-        std::fprintf(stderr, "error: --jobs must be non-negative\n");
+      if (!numberArg(Jobs, "--jobs", Argv[++I]))
         return 2;
-      }
-      Jobs = static_cast<unsigned>(N);
     } else if (Arg == "--request-deadline-ms" && I + 1 < Argc) {
-      RequestDeadlineMs = std::atof(Argv[++I]);
+      if (!numberArg(RequestDeadlineMs, "--request-deadline-ms", Argv[++I]))
+        return 2;
     } else if (Arg == "--opencl") {
       UseOpenCl = true;
     } else if (Arg == "--double-buffer") {
@@ -386,20 +420,28 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--topk" && I + 1 < Argc) {
-      Options.TopK = static_cast<size_t>(std::atoll(Argv[++I]));
+      if (!numberArg(Options.TopK, "--topk", Argv[++I]))
+        return 2;
     } else if (Arg == "--max-configs" && I + 1 < Argc) {
-      Options.Budget.MaxConfigs = static_cast<uint64_t>(std::atoll(Argv[++I]));
+      if (!numberArg(Options.Budget.MaxConfigs, "--max-configs", Argv[++I]))
+        return 2;
     } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      Options.Budget.DeadlineMs = std::atof(Argv[++I]);
+      if (!numberArg(Options.Budget.DeadlineMs, "--deadline-ms", Argv[++I]))
+        return 2;
     } else if (Arg == "--max-source-bytes" && I + 1 < Argc) {
-      Options.Budget.MaxSourceBytes =
-          static_cast<uint64_t>(std::atoll(Argv[++I]));
+      if (!numberArg(Options.Budget.MaxSourceBytes, "--max-source-bytes",
+                     Argv[++I]))
+        return 2;
     } else if (Arg == "--smem-per-block" && I + 1 < Argc) {
-      Device.SharedMemPerBlock = static_cast<unsigned>(std::atoll(Argv[++I]));
+      if (!numberArg(Device.SharedMemPerBlock, "--smem-per-block", Argv[++I]))
+        return 2;
     } else if (Arg == "--transaction-bytes" && I + 1 < Argc) {
-      Device.TransactionBytes = static_cast<unsigned>(std::atoll(Argv[++I]));
+      if (!numberArg(Device.TransactionBytes, "--transaction-bytes",
+                     Argv[++I]))
+        return 2;
     } else if (Arg == "--chaos-seed" && I + 1 < Argc) {
-      Options.Chaos.Seed = static_cast<uint64_t>(std::atoll(Argv[++I]));
+      if (!numberArg(Options.Chaos.Seed, "--chaos-seed", Argv[++I]))
+        return 2;
       if (Options.Chaos.Sites == 0)
         Options.Chaos.Sites = support::AllChaosSites;
     } else if (Arg == "--chaos-sites" && I + 1 < Argc) {
@@ -414,12 +456,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg[0] != '-') {
       if (Spec.empty()) {
         Spec = Arg;
-      } else {
-        Extent = std::atoll(Arg.c_str());
-        if (Extent <= 0) {
-          std::fprintf(stderr, "error: extent must be positive\n");
-          return 2;
-        }
+      } else if (!numberArg(Extent, "extent", Arg, /*Positive=*/true)) {
+        return 2;
       }
     } else {
       printUsage(Argv[0]);
@@ -561,12 +599,10 @@ int main(int Argc, char **Argv) {
   }
   if (ExplainRaces && !Quiet) {
     core::KernelPlan Plan(PlanTC, Result->best().Config);
-    analysis::RaceProverOptions RaceOpts;
-    RaceOpts.WarpSize = Device.WarpSize;
-    std::fprintf(stderr, "%s\n",
-                 analysis::explainRaces(
-                     Plan, Result->best().Source.KernelSource, RaceOpts)
-                     .c_str());
+    std::fprintf(
+        stderr, "%s\n",
+        analysis::explainRaces(Plan, Result->best().Source.KernelSource)
+            .c_str());
   }
   if (ExplainDataflow && !Quiet) {
     ErrorOr<analysis::KernelModel> Model =

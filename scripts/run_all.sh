@@ -80,10 +80,13 @@ ctest --test-dir build 2>&1 | tee -a test_output.txt
 
 # Fuzz smoke test under AddressSanitizer + UBSan: the whole-pipeline fuzz
 # harness re-runs in an instrumented tree so memory errors and signed
-# overflow surface even when the uninstrumented asserts stay quiet.
+# overflow surface even when the uninstrumented asserts stay quiet. UBSan
+# reports are fatal here (halt_on_error), so undefined behavior fails the
+# lane instead of scrolling past in the log.
 configure build-asan -DCOGENT_SANITIZE=address
 cmake --build build-asan --target test_fuzz_pipeline
-ctest --test-dir build-asan -R test_fuzz_pipeline --output-on-failure \
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir build-asan -R test_fuzz_pipeline --output-on-failure \
   2>&1 | tee asan_output.txt
 
 # ThreadSanitizer lane for the concurrent service layer: the worker pool,

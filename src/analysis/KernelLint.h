@@ -12,9 +12,6 @@
 /// only drift if codegen regresses, and that drift is exactly what each
 /// pass detects:
 ///
-///   BarrierPlacement — flow-sensitive SMEM race detection: every staging
-///     write must be separated from cross-thread reads by a barrier, and
-///     no barrier may sit under thread-divergent control flow.
 ///   BankConflict     — SMEM index expressions must use the plan's staging
 ///     strides (mod-32 bank behavior is a function of those strides).
 ///   Coalescing       — GMEM index expressions must use the plan's global
@@ -36,7 +33,8 @@
 ///   Uniformity       — taint classes: tile bases, trip counts and stride
 ///     variables must be thread-uniform (KernelRaceProver).
 ///   RaceFreedom      — symbolic two-thread proof that no same-interval
-///     SMEM/GMEM access pair can alias across threads (KernelRaceProver).
+///     SMEM/GMEM access pair can alias across threads (KernelRaceProver);
+///     this is the pass that catches a missing barrier.
 ///   BarrierUniformity— every barrier sits under uniform control only
 ///     (KernelRaceProver).
 ///
@@ -63,7 +61,6 @@ namespace analysis {
 /// The independent analysis passes, in run order.
 enum class LintPass {
   Structure,        ///< The source failed to parse as the emitted schema.
-  BarrierPlacement,
   BankConflict,
   Coalescing,
   BoundsCheck,
@@ -78,15 +75,15 @@ enum class LintPass {
 };
 
 /// Number of LintPass enumerators (name-table round-trip tests walk this).
-inline constexpr unsigned NumLintPasses = 13;
+inline constexpr unsigned NumLintPasses = 12;
 
-/// Stable identifier, e.g. "barrier-placement".
+/// Stable identifier, e.g. "race-freedom".
 const char *lintPassName(LintPass Pass);
 
 /// Inverse of lintPassName; returns std::nullopt for unknown names.
 std::optional<LintPass> lintPassFromName(const std::string &Name);
 
-/// True for the three KernelRaceProver-backed passes (11-13): Uniformity,
+/// True for the three KernelRaceProver-backed passes (10-12): Uniformity,
 /// RaceFreedom and BarrierUniformity. The generation gate counts their
 /// findings separately (GenerationResult::RaceFindings/RaceRejections).
 bool isRacePass(LintPass Pass);
@@ -120,6 +117,7 @@ std::optional<LintMode> lintModeFromName(const std::string &Name);
 struct LintOptions {
   LintMode Mode = LintMode::Strict;
   unsigned ElementSize = 8;
+  /// Threads per warp for predictTransactions' coalescing replay.
   unsigned WarpSize = 32;
   unsigned TransactionBytes = 128;
   /// Per-thread register budget the RegisterPressure pass checks against

@@ -752,11 +752,15 @@ struct PinState {
   }
 };
 
-struct PairPick {
-  bool Found = false;
-  int64_t T1 = 0, T2 = 0;
-  bool CrossWarp = false;
-};
+/// The first pair of distinct threads drawn from \p S1 x \p S2, if any.
+std::optional<std::pair<int64_t, int64_t>>
+pickPair(const std::vector<int64_t> &S1, const std::vector<int64_t> &S2) {
+  for (int64_t T1 : S1)
+    for (int64_t T2 : S2)
+      if (T1 != T2)
+        return std::make_pair(T1, T2);
+  return std::nullopt;
+}
 
 class Prover {
 public:
@@ -833,8 +837,6 @@ private:
                      const std::map<std::string, int64_t> &SharedDiff);
   PinState computePins(const AccessInst &A, const Env &Vals);
   std::vector<int64_t> threadsOf(const PinState &PS) const;
-  PairPick pickPair(const std::vector<int64_t> &S1,
-                    const std::vector<int64_t> &S2) const;
   void emitRace(const AccessInst &A, const AccessInst &B, const Env &Sig,
                 const Env &AVals, const Env &BVals, int64_t T1, int64_t T2,
                 int64_t Addr);
@@ -1251,22 +1253,6 @@ std::vector<int64_t> Prover::threadsOf(const PinState &PS) const {
   return Out;
 }
 
-PairPick Prover::pickPair(const std::vector<int64_t> &S1,
-                          const std::vector<int64_t> &S2) const {
-  PairPick P;
-  int64_t W = std::max<unsigned>(1, Opts.WarpSize);
-  for (int64_t T1 : S1)
-    for (int64_t T2 : S2) {
-      if (T1 == T2)
-        continue;
-      if (T1 / W != T2 / W)
-        return {true, T1, T2, true};
-      if (!P.Found)
-        P = {true, T1, T2, false};
-    }
-  return P;
-}
-
 AccessForm Prover::formOf(const AccessInst &X, bool Second) const {
   AccessForm F;
   F.Array = X.Array;
@@ -1452,8 +1438,6 @@ void Prover::enumeratePair(const AccessInst &A, const AccessInst &B,
       V += T.Coeff * Vals.at(T.Name);
     return V;
   };
-  bool WR = !(A.Write && B.Write);
-  bool SawLockstepOnly = false;
   reset(SigD);
   do {
     Env Sig;
@@ -1509,27 +1493,18 @@ void Prover::enumeratePair(const AccessInst &A, const AccessInst &B,
         if (Budget < S1.size() * S2.size())
           return unproven(A, B, "enumeration budget exhausted");
         Budget -= S1.size() * S2.size();
-        PairPick P = pickPair(S1, S2);
-        if (!P.Found)
+        std::optional<std::pair<int64_t, int64_t>> P = pickPair(S1, S2);
+        if (!P)
           continue;
-        if (WR && !P.CrossWarp) {
-          // Only intra-warp thread pairs collide at this address:
-          // lockstep execution orders the write/read pair.
-          SawLockstepOnly = true;
-          continue;
-        }
         Env BPriv;
         for (const Dim &D : BD)
           BPriv[D.Name] = D.Cur;
-        emitRace(A, B, Sig, E.Vals, BPriv, P.T1, P.T2, Addr);
+        emitRace(A, B, Sig, E.Vals, BPriv, P->first, P->second, Addr);
         return;
       }
     } while (advance(BD));
   } while (advance(SigD));
-  if (SawLockstepOnly)
-    ++R.LockstepSuppressed;
-  else
-    ++R.ProvedByEnumeration;
+  ++R.ProvedByEnumeration;
 }
 
 void Prover::solvePair(const AccessInst &A, const AccessInst &B, bool Self) {
@@ -1723,8 +1698,6 @@ std::string explainRaces(const KernelPlan &Plan,
   OS << "  proved by: interval " << R.ProvedByInterval << ", gcd "
      << R.ProvedByGcd << ", injectivity " << R.ProvedByInjectivity
      << ", enumeration " << R.ProvedByEnumeration << "\n";
-  OS << "  lockstep-suppressed write/read pairs: " << R.LockstepSuppressed
-     << "\n";
   OS << "=== race prover: findings ===\n";
   if (R.Findings.empty())
     OS << "  none - race and divergence clean\n";

@@ -27,7 +27,8 @@ namespace analysis {
 /// The targeted corruptions. Grouped by the lint pass expected to catch
 /// each (see tests/test_kernel_lint.cpp for the kill matrix).
 enum class MutationKind : unsigned {
-  // BarrierPlacement kills.
+  // Barrier corruptions (KernelRaceProver): the two drops are RaceFreedom
+  // kills, the two divergent guards BarrierUniformity kills.
   DropFirstBarrier,       ///< Delete the first barrier statement.
   DropSecondBarrier,      ///< Delete the last barrier statement.
   DivergentBarrier,       ///< Wrap the first barrier in `if (tid == 0)`.

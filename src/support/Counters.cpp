@@ -49,28 +49,8 @@ CounterSnapshot cogent::support::snapshotCounters() {
   return Snapshot;
 }
 
-CounterSnapshot cogent::support::counterDelta(const CounterSnapshot &Before,
-                                              const CounterSnapshot &After) {
-  CounterSnapshot Delta;
-  Delta.reserve(After.size());
-  size_t BeforeIdx = 0;
-  for (const CounterValue &AfterValue : After) {
-    // Both snapshots are name-sorted; advance the Before cursor in step.
-    while (BeforeIdx < Before.size() &&
-           std::strcmp(Before[BeforeIdx].Name, AfterValue.Name) < 0)
-      ++BeforeIdx;
-    uint64_t Base = 0;
-    if (BeforeIdx < Before.size() &&
-        std::strcmp(Before[BeforeIdx].Name, AfterValue.Name) == 0)
-      Base = Before[BeforeIdx].Value;
-    Delta.push_back(
-        {AfterValue.Name, AfterValue.Description, AfterValue.Value - Base});
-  }
-  return Delta;
-}
-
-thread_local CounterScope *cogent::support::counters_detail::ActiveScope =
-    nullptr;
+constinit thread_local CounterScope
+    *cogent::support::counters_detail::ActiveScope = nullptr;
 
 void cogent::support::counters_detail::recordScoped(const Counter *C,
                                                     uint64_t N) {

@@ -16,8 +16,8 @@
 /// GenerationResult::Counters. A scope only observes increments made on
 /// its own thread, so concurrent generate() calls each get exact
 /// attribution even though the registry itself is process-wide.
-/// (snapshotCounters/counterDelta remain for whole-process views, where
-/// cross-thread bleed is the desired semantics.)
+/// (snapshotCounters remains for whole-process views, where cross-thread
+/// bleed is the desired semantics.)
 ///
 /// Naming convention: "<component>.<noun>" in kebab-case, e.g.
 /// "enumerator.hardware-pruned" — see docs/ARCHITECTURE.md §10.
@@ -42,8 +42,10 @@ class CounterScope;
 namespace counters_detail {
 /// Innermost CounterScope active on this thread (nullptr almost always);
 /// checked inline so the unscoped hot path stays one relaxed fetch_add
-/// plus one thread-local load.
-extern thread_local CounterScope *ActiveScope;
+/// plus one thread-local load. constinit makes it a constant-initialized
+/// TLS variable, so other translation units read it directly instead of
+/// through a lazy-initialization wrapper.
+extern constinit thread_local CounterScope *ActiveScope;
 /// Out-of-line slow path: credits \p N to every scope on this thread's
 /// active chain.
 void recordScoped(const Counter *C, uint64_t N);
@@ -95,13 +97,6 @@ struct CounterValue {
 using CounterSnapshot = std::vector<CounterValue>;
 CounterSnapshot snapshotCounters();
 
-/// Per-entry After - Before. Entries present only in \p After (counters
-/// whose translation unit registered between the snapshots) keep their
-/// absolute value; zero-delta entries are retained so consumers see the
-/// full, stable counter table.
-CounterSnapshot counterDelta(const CounterSnapshot &Before,
-                             const CounterSnapshot &After);
-
 /// Writes \p Snapshot as one JSON object {"name": value, ...} into \p W
 /// (the writer must be positioned where a value is expected).
 void writeCountersJson(JsonWriter &W, const CounterSnapshot &Snapshot);
@@ -109,7 +104,7 @@ void writeCountersJson(JsonWriter &W, const CounterSnapshot &Snapshot);
 /// RAII per-run counter attribution. While alive, every Counter increment
 /// made *on the constructing thread* is also credited to this scope;
 /// take() renders the credits as a full name-sorted table (zero entries
-/// retained, same shape as counterDelta's output). Scopes nest — an inner
+/// retained, same shape as snapshotCounters' output). Scopes nest — an inner
 /// scope's increments credit every enclosing scope on the same thread —
 /// and increments from other threads are never visible, which is what
 /// gives concurrent Cogent::generate calls exact per-run attribution.

@@ -41,10 +41,9 @@ TraceSession::~TraceSession() {
                                               std::memory_order_acq_rel);
 }
 
-double TraceSession::nowUs() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - Epoch)
-      .count();
+double TraceSession::sinceEpochUs(
+    std::chrono::steady_clock::time_point Time) const {
+  return std::chrono::duration<double, std::micro>(Time - Epoch).count();
 }
 
 void TraceSession::record(TraceEvent Event) {
@@ -135,10 +134,12 @@ TraceSpan::~TraceSpan() {
   Event.Name = Name;
   Event.Phase = 'X';
   Event.ThreadId = traceThreadId();
+  // One clock read: the start comes from Start itself, so an enclosing
+  // span's recorded start can never land after a nested span's.
+  Event.TimestampUs = Session->sinceEpochUs(Start);
   Event.DurationUs = std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - Start)
                          .count();
-  Event.TimestampUs = Session->nowUs() - Event.DurationUs;
   Event.Args = std::move(Args);
   Session->record(std::move(Event));
 }

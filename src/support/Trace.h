@@ -70,7 +70,11 @@ public:
   void record(TraceEvent Event);
 
   /// Microseconds since this session was constructed.
-  double nowUs() const;
+  double nowUs() const {
+    return sinceEpochUs(std::chrono::steady_clock::now());
+  }
+  /// Microseconds from this session's construction to \p Time.
+  double sinceEpochUs(std::chrono::steady_clock::time_point Time) const;
 
   size_t eventCount() const;
   /// Copy of the recorded events, in record order.

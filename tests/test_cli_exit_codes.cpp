@@ -76,6 +76,18 @@ TEST(CliExitCodes, UsageErrorExitsTwo) {
   EXPECT_EQ(runCli("ab-ac-cb 24 --no-such-flag").ExitCode, 2);
   EXPECT_EQ(runCli("").ExitCode, 2);
   EXPECT_EQ(runCli("ab-ac-cb 24 --chaos-sites no-such-site").ExitCode, 2);
+  // Numeric values are parsed whole and in range, never coerced: these
+  // used to run as "no deadline", TopK = 2^64 - 3, extent 32 and seed 12.
+  for (const char *Args :
+       {"ab-ac-cb 24 --deadline-ms foo", "ab-ac-cb 24 --topk -3",
+        "ab-ac-cb 32x", "ab-ac-cb 24 --chaos-seed 12abc",
+        "ab-ac-cb 24 --max-configs 1.5", "ab-ac-cb 24 --deadline-ms nan",
+        "ab-ac-cb 24 --smem-per-block 99999999999", "ab-ac-cb 0",
+        "ab-ac-cb 24 --deadline-ms ''"}) {
+    CliRun Run = runCli(Args);
+    EXPECT_EQ(Run.ExitCode, 2) << Args << "\n" << Run.Output;
+    EXPECT_NE(Run.Output.find("error: "), std::string::npos) << Args;
+  }
 }
 
 /// Writes \p Contents to a scratch batch file and returns its path.

@@ -7,6 +7,7 @@
 // The symbolic two-thread race & barrier-divergence analyzer:
 //  - uniformity (taint) classes on the corpus kernel,
 //  - the full TCCG suite proves race- and divergence-clean on both devices,
+//    and every barrier corruption of every suite kernel is killed,
 //  - each race-seeding MutationKind is killed by its prover analysis and
 //    every reported race carries a witness that replays,
 //  - explainRaces renders the derivation, lintKernel surfaces the passes.
@@ -129,31 +130,91 @@ TEST(RaceProver, CorpusKernelProvesRaceFree) {
   // The emitted layouts are proved by the analytic arguments, not by
   // falling through to bounded enumeration.
   EXPECT_EQ(R.PairsChecked, R.ProvedByInterval + R.ProvedByGcd +
-                                R.ProvedByInjectivity + R.ProvedByEnumeration +
-                                R.LockstepSuppressed)
+                                R.ProvedByInjectivity + R.ProvedByEnumeration)
       << renderAll(R);
 }
 
+namespace {
+
+/// One top-ranked emission of a TCCG entry on one device.
+struct SuiteKernel {
+  std::string Label; ///< "<entry> on <device>".
+  core::KernelPlan Plan;
+  std::string Source;
+};
+
+/// The paper's whole benchmark suite on both devices, generated once per
+/// process with lint off (the tests below run the prover directly).
+const std::vector<SuiteKernel> &suiteKernels() {
+  static const std::vector<SuiteKernel> Kernels = [] {
+    std::vector<SuiteKernel> Out;
+    for (const gpu::DeviceSpec &Device : {gpu::makeP100(), gpu::makeV100()}) {
+      core::Cogent Generator(Device);
+      core::CogentOptions Options;
+      Options.Lint.Mode = analysis::LintMode::Off;
+      for (const suite::SuiteEntry &Entry : suite::tccgSuite()) {
+        std::string Label = Entry.Name + " on " + Device.Name;
+        ErrorOr<core::GenerationResult> Result =
+            Generator.generate(Entry.contraction(), Options);
+        EXPECT_TRUE(Result.hasValue()) << Label;
+        if (!Result)
+          continue;
+        core::KernelPlan Plan(Result->FallbackContraction
+                                  ? *Result->FallbackContraction
+                                  : Entry.contraction(),
+                              Result->best().Config);
+        Out.push_back({Label, Plan, Result->best().Source.KernelSource});
+      }
+    }
+    return Out;
+  }();
+  return Kernels;
+}
+
+} // namespace
+
 TEST(RaceProver, TccgSuiteRaceAndDivergenceCleanOnBothDevices) {
-  // The paper's whole benchmark suite, both devices: every top-ranked
-  // emission must prove race- and divergence-free with zero findings of
-  // any kind (warnings here would mean the solver lost precision on
-  // layouts the emitter legitimately produces).
-  for (const gpu::DeviceSpec &Device : {gpu::makeP100(), gpu::makeV100()}) {
-    core::Cogent Generator(Device);
-    core::CogentOptions Options;
-    Options.Lint.Mode = analysis::LintMode::Off; // prove directly below
-    for (const suite::SuiteEntry &Entry : suite::tccgSuite()) {
-      ErrorOr<core::GenerationResult> Result =
-          Generator.generate(Entry.contraction(), Options);
-      ASSERT_TRUE(Result.hasValue()) << Entry.Name << " on " << Device.Name;
-      core::KernelPlan Plan(Result->FallbackContraction
-                                ? *Result->FallbackContraction
-                                : Entry.contraction(),
-                            Result->best().Config);
-      RaceReport R = prove(Plan, Result->best().Source.KernelSource);
-      EXPECT_TRUE(R.Findings.empty())
-          << Entry.Name << " on " << Device.Name << ":\n" << renderAll(R);
+  // Every top-ranked emission must prove race- and divergence-free with
+  // zero findings of any kind (warnings here would mean the solver lost
+  // precision on layouts the emitter legitimately produces).
+  ASSERT_EQ(suiteKernels().size(), 2 * suite::tccgSuite().size());
+  for (const SuiteKernel &K : suiteKernels()) {
+    RaceReport R = prove(K.Plan, K.Source);
+    EXPECT_TRUE(R.Findings.empty()) << K.Label << ":\n" << renderAll(R);
+  }
+}
+
+TEST(RaceProver, TccgSuiteBarrierMutantsAllKilled) {
+  // The prover is the only barrier-safety engine, so every barrier
+  // corruption of every suite kernel must die here: a dropped barrier as
+  // a race with a replayable witness (warp-mates count as distinct
+  // threads, so one-warp blocks are covered), a thread-guarded barrier as
+  // divergence.
+  ASSERT_EQ(suiteKernels().size(), 2 * suite::tccgSuite().size());
+  for (const SuiteKernel &K : suiteKernels()) {
+    for (MutationKind Kind :
+         {MutationKind::DropFirstBarrier, MutationKind::DropSecondBarrier,
+          MutationKind::DivergentBarrier,
+          MutationKind::DivergentBarrierThread}) {
+      std::string Mutated = analysis::applyMutation(K.Source, Kind);
+      ASSERT_NE(Mutated, K.Source)
+          << K.Label << ": " << analysis::mutationKindName(Kind)
+          << " pattern absent";
+      RaceReport R = prove(K.Plan, Mutated);
+      bool Drop = Kind == MutationKind::DropFirstBarrier ||
+                  Kind == MutationKind::DropSecondBarrier;
+      bool Caught = Drop ? !R.raceFree()
+                         : hasKind(R, RaceFindingKind::DivergentBarrier);
+      EXPECT_TRUE(Caught) << K.Label << ": "
+                          << analysis::mutationKindName(Kind)
+                          << " survived:\n" << renderAll(R);
+      for (const RaceFinding &F : R.Findings) {
+        if (F.Kind == RaceFindingKind::WriteWriteRace ||
+            F.Kind == RaceFindingKind::WriteReadRace) {
+          EXPECT_TRUE(analysis::replayWitness(F))
+              << K.Label << ": " << F.render();
+        }
+      }
     }
   }
 }
@@ -234,12 +295,12 @@ TEST(RaceProver, MutationCorpusKillsEveryAnalysis) {
 // Lint surface and rendering
 //===----------------------------------------------------------------------===//
 
-TEST(RaceProver, LintSurfacesProverFindingsAsPasses11To13) {
+TEST(RaceProver, LintSurfacesProverFindingsAsPasses10To12) {
   using analysis::LintPass;
   EXPECT_TRUE(analysis::isRacePass(LintPass::Uniformity));
   EXPECT_TRUE(analysis::isRacePass(LintPass::RaceFreedom));
   EXPECT_TRUE(analysis::isRacePass(LintPass::BarrierUniformity));
-  EXPECT_FALSE(analysis::isRacePass(LintPass::BarrierPlacement));
+  EXPECT_FALSE(analysis::isRacePass(LintPass::RedundantBarrier));
   EXPECT_FALSE(analysis::isRacePass(LintPass::Structure));
 
   Corpus C = makeCorpus();
