@@ -12,6 +12,7 @@
 #include "core/CostModel.h"
 #include "core/KernelPlan.h"
 #include "gpu/KernelSimulator.h"
+#include "support/JsonValue.h"
 #include "support/JsonWriter.h"
 #include "support/Random.h"
 #include "tensor/Reference.h"
@@ -88,9 +89,9 @@ cogent::bench::runTccgComparison(const gpu::DeviceSpec &Device,
       Row.CogentConfig = Result->best().Config.toString();
       Row.CogentElapsedMs = Result->ElapsedMs;
       Row.PredictedTransactions = Result->best().Cost.total();
-      Row.VerifierRejections = Result->VerifierRejections;
+      Row.VerifierRejections = Result->verifierRejections();
       Row.LintFindings = Result->LintFindings.size();
-      Row.LintRejections = Result->LintRejections;
+      Row.LintRejections = Result->lintRejections();
       Row.RegisterPressurePlan = Result->best().PlanPressure;
       Row.RegisterPressureSource = Result->best().SourcePressure;
       if (Options.SimTraffic)

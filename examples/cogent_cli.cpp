@@ -239,8 +239,7 @@ static int runBatch(const std::string &BatchPath, const gpu::DeviceSpec &Device,
         W.member("submitted", S.Submitted);
         W.member("completed", S.Completed);
         W.member("failed", S.Failed);
-        W.member("shed",
-                 S.ShedQueueFull + S.ShedOverloaded + S.ShedExpired);
+        W.member("shed", S.shed());
         W.member("retries", S.Retries);
         W.member("coalesced", S.Coalesced);
         W.member("cache_hits", S.CacheHits);
@@ -285,9 +284,7 @@ static int runBatch(const std::string &BatchPath, const gpu::DeviceSpec &Device,
                "%llu degraded\n",
                Requests.size() + BadLines, Failures,
                static_cast<unsigned long long>(Stats.Completed),
-               static_cast<unsigned long long>(Stats.ShedQueueFull +
-                                               Stats.ShedOverloaded +
-                                               Stats.ShedExpired),
+               static_cast<unsigned long long>(Stats.shed()),
                static_cast<unsigned long long>(Stats.Retries),
                static_cast<unsigned long long>(Stats.Coalesced),
                static_cast<unsigned long long>(Stats.CacheHits),
@@ -531,18 +528,18 @@ int main(int Argc, char **Argv) {
   // A rescued verification failure is still a success (exit 0): the
   // verifier rejected candidates but a later attempt or fallback rung
   // produced a verified kernel. One notice line marks it for log readers.
-  if (!Quiet && Result->VerifierRejections > 0)
+  if (!Quiet && Result->verifierRejections() > 0)
     std::fprintf(stderr,
                  "# notice: plan verifier rejected %llu candidate(s); "
                  "rescued — emitted kernel passed verification "
                  "(fallback '%s')\n",
-                 static_cast<unsigned long long>(Result->VerifierRejections),
+                 static_cast<unsigned long long>(Result->verifierRejections()),
                  core::fallbackLevelName(Result->Fallback));
-  if (!Quiet && Result->LintRejections > 0)
+  if (!Quiet && Result->lintRejections() > 0)
     std::fprintf(stderr,
                  "# notice: lint gate rejected %llu emitted source(s); "
                  "rescued — emitted kernel lints clean (fallback '%s')\n",
-                 static_cast<unsigned long long>(Result->LintRejections),
+                 static_cast<unsigned long long>(Result->lintRejections()),
                  core::fallbackLevelName(Result->Fallback));
   if (!Quiet)
     for (const analysis::LintFinding &Finding : Result->LintFindings)

@@ -131,6 +131,13 @@ EOF
 build/examples/cogent_cli --batch-file smoke_artifacts/telemetry_batch.txt \
   --jobs 2 --quiet --telemetry-json smoke_artifacts/telemetry.json
 "$JSON_LINT" smoke_artifacts/telemetry.json
+# One name per fact: the service and cache tallies are exported once
+# ("service.*", "cache.*"), never again under a process-wide alias.
+if grep -Eq '"process\.(service\.|repository\.shard-)' \
+    smoke_artifacts/telemetry.json; then
+  echo "telemetry smoke: service or cache tally exported twice" >&2
+  exit 1
+fi
 echo "telemetry smoke: snapshot validated"
 
 # Each bench harness writes its own <name>.json next to the text output;

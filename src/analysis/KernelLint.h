@@ -84,8 +84,9 @@ const char *lintPassName(LintPass Pass);
 std::optional<LintPass> lintPassFromName(const std::string &Name);
 
 /// True for the three KernelRaceProver-backed passes (10-12): Uniformity,
-/// RaceFreedom and BarrierUniformity. The generation gate counts their
-/// findings separately (GenerationResult::RaceFindings/RaceRejections).
+/// RaceFreedom and BarrierUniformity. The generation gate counts a strict
+/// rejection carrying one of their errors as "race.rejections"
+/// (GenerationResult::raceRejections()).
 bool isRacePass(LintPass Pass);
 
 enum class LintSeverity { Warning, Error };

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <new>
 #include <sstream>
 
@@ -61,6 +62,31 @@ cogent::core::fallbackLevelFromName(const std::string &Name) {
       return Level;
   }
   return std::nullopt;
+}
+
+/// \p Name's entry in a run's counter table; 0 when unregistered.
+static uint64_t runCount(const support::CounterSnapshot &Counters,
+                         const char *Name) {
+  for (const support::CounterValue &C : Counters)
+    if (std::strcmp(C.Name, Name) == 0)
+      return C.Value;
+  return 0;
+}
+
+uint64_t GenerationResult::verifierRejections() const {
+  return runCount(Counters, "verifier.rejections");
+}
+
+uint64_t GenerationResult::lintRejections() const {
+  return runCount(Counters, "lint.rejections");
+}
+
+uint64_t GenerationResult::raceFindings() const {
+  return runCount(Counters, "race.findings");
+}
+
+uint64_t GenerationResult::raceRejections() const {
+  return runCount(Counters, "race.rejections");
 }
 
 namespace {
@@ -197,7 +223,6 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
 
   const verify::PlanVerifier Verifier(Run, Options.ElementSize);
   auto NoteRejection = [&](const Error &E) {
-    ++Result.VerifierRejections;
     if (Result.VerifierNotes.size() < 8)
       Result.VerifierNotes.push_back(E.render());
     support::traceInstant("cogent.verifier-reject", {{"error", E.message()}});
@@ -284,7 +309,6 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
   LintOpts.RegisterBudget = Run.MaxRegistersPerThread;
   Result.PressureRanking = Options.PressureAwareRanking;
   auto NoteLintRejection = [&](const analysis::LintReport &Report) {
-    ++Result.LintRejections;
     ++NumLintRejections;
     if (Result.LintNotes.size() < 8 && !Report.Findings.empty())
       Result.LintNotes.push_back(Report.Findings.front().render());
@@ -339,12 +363,10 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
         analysis::LintReport Report =
             analysis::lintKernel(Plan, Kernel.Source.KernelSource, LintOpts);
         uint64_t RaceErrors = 0;
-        for (const analysis::LintFinding &F : Report.Findings) {
-          if (!analysis::isRacePass(F.Pass))
-            continue;
-          ++Result.RaceFindings;
-          RaceErrors += F.Severity == analysis::LintSeverity::Error;
-        }
+        for (const analysis::LintFinding &F : Report.Findings)
+          if (analysis::isRacePass(F.Pass) &&
+              F.Severity == analysis::LintSeverity::Error)
+            ++RaceErrors;
         if (LintOpts.Mode == analysis::LintMode::Strict &&
             Report.errorCount() > 0) {
           // A lint rejection re-emits like a verifier rejection; when the
@@ -352,7 +374,6 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
           SourceOk = false;
           NoteLintRejection(Report);
           if (RaceErrors > 0) {
-            ++Result.RaceRejections;
             ++NumRaceRejections;
             support::traceInstant(
                 "cogent.race-reject",
@@ -433,6 +454,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     Result.Phases.FallbackMs += Span.elapsedMs();
   }
 
+  Result.Counters = RunCounters.take();
   if (!Done)
     // Even the TTGT rung could not produce a verified kernel — an
     // unrescued verification failure (e.g. a device whose limits are valid
@@ -440,14 +462,13 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     return Error(ErrorCode::VerificationFailed,
                  "no kernel for contraction " + TC.toString() +
                      " passed verification on device " + Run.Name + " (" +
-                     std::to_string(Result.VerifierRejections) +
+                     std::to_string(Result.verifierRejections()) +
                      " rejections)");
   assert(!Result.Kernels.empty() && "generation must materialize a kernel");
 
   auto End = std::chrono::steady_clock::now();
   Result.ElapsedMs =
       std::chrono::duration<double, std::milli>(End - Start).count();
-  Result.Counters = RunCounters.take();
   return Result;
 }
 
@@ -567,12 +588,12 @@ std::string cogent::core::renderMetricsJson(const Contraction &TC,
 
   W.member("fallback", fallbackLevelName(Result.Fallback));
   W.member("source_truncated", Result.SourceTruncated);
-  W.member("verifier_rejections", Result.VerifierRejections);
+  W.member("verifier_rejections", Result.verifierRejections());
   W.member("enumeration_aborted", Result.EnumerationAborted);
   W.member("device_mutated", Result.DeviceMutated);
-  W.member("lint_rejections", Result.LintRejections);
-  W.member("race_findings", Result.RaceFindings);
-  W.member("race_rejections", Result.RaceRejections);
+  W.member("lint_rejections", Result.lintRejections());
+  W.member("race_findings", Result.raceFindings());
+  W.member("race_rejections", Result.raceRejections());
   W.member("pressure_ranking", Result.PressureRanking);
 
   W.key("lint_findings");

@@ -179,27 +179,14 @@ struct GenerationResult {
   /// observes increments made on its own thread. Chaos firings appear
   /// here as the "chaos.fired.*" entries, lint activity as "lint.*".
   support::CounterSnapshot Counters;
-  /// Candidate plans/costs/sources the PlanVerifier rejected during this
-  /// run (each rejection either retried or demoted toward the next
-  /// fallback rung, never emitted).
-  uint64_t VerifierRejections = 0;
   /// Rendered messages of the first few verifier rejections, for reports.
   std::vector<std::string> VerifierNotes;
   /// Lint findings attached to the *accepted* kernels: everything
   /// KernelLint reported in Warn mode, or warning-severity leftovers in
   /// Strict mode (Strict never accepts a source with error findings).
   std::vector<analysis::LintFinding> LintFindings;
-  /// Emitted sources the strict lint gate rejected during this run (each
-  /// rejection either retried or demoted, never returned to the caller).
-  uint64_t LintRejections = 0;
   /// Rendered first findings of the first few lint rejections.
   std::vector<std::string> LintNotes;
-  /// Findings attributed to the race-prover passes (uniformity /
-  /// race-freedom / barrier-uniformity) across this run, accepted or not.
-  uint64_t RaceFindings = 0;
-  /// Strict-gate rejections whose findings included at least one
-  /// race-prover error (subset of LintRejections).
-  uint64_t RaceRejections = 0;
   /// True when enumeration died mid-search (allocation failure — real or
   /// chaos-injected) and the run restarted on the fallback chain.
   bool EnumerationAborted = false;
@@ -212,6 +199,22 @@ struct GenerationResult {
   bool PressureRanking = false;
 
   bool empty() const { return Kernels.empty(); }
+
+  // This run's rejection tallies, read from Counters (their only store).
+
+  /// Candidate plans/costs/sources the PlanVerifier rejected (each
+  /// rejection either retried or demoted toward the next fallback rung,
+  /// never emitted): "verifier.rejections".
+  uint64_t verifierRejections() const;
+  /// Emitted sources the strict lint gate rejected (each retried or
+  /// demoted, never returned to the caller): "lint.rejections".
+  uint64_t lintRejections() const;
+  /// Findings the race prover emitted during this run, accepted kernels or
+  /// not, before lint merges duplicates: "race.findings".
+  uint64_t raceFindings() const;
+  /// Strict-gate rejections whose findings included at least one
+  /// race-prover error (subset of lintRejections()): "race.rejections".
+  uint64_t raceRejections() const;
 
   /// The top-ranked kernel. \pre !empty(); calling this on an empty result
   /// is a programming error (it was undefined behavior before the assert).

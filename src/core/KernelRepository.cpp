@@ -25,15 +25,6 @@ COGENT_COUNTER(NumCacheEntriesLoaded, "repository.entries-loaded",
 COGENT_COUNTER(NumCacheMisses, "repository.cache-misses",
                "on-disk cache entries rejected as corrupt/truncated/"
                "version-mismatched");
-COGENT_COUNTER(NumShardHits, "repository.shard-hits",
-               "sharded-cache lookups served from a checksum-valid entry");
-COGENT_COUNTER(NumShardMisses, "repository.shard-misses",
-               "sharded-cache lookups that generated a fresh plan");
-COGENT_COUNTER(NumShardQuarantines, "repository.shard-quarantines",
-               "sharded-cache entries evicted on checksum mismatch");
-COGENT_COUNTER(NumShardRebuilds, "repository.shard-rebuilds",
-               "sharded-cache entries regenerated by rebuildQuarantined");
-
 /// The on-disk cache format version. Bump on any layout change: a mismatch
 /// is a full cache miss, never a best-effort parse of an older layout.
 static const char *const RepoMagic = "COGENTREPO v2";
@@ -310,24 +301,24 @@ size_t ShardedKernelRepository::suspectShards() const {
   return Count;
 }
 
-void ShardedKernelRepository::mirrorMetrics(support::MetricRegistry &Registry,
-                                            const std::string &Prefix) const {
-  Registry.counter(Prefix + "hits", "plan-cache checksum-valid hits")
+void ShardedKernelRepository::mirrorMetrics(
+    support::MetricRegistry &Registry) const {
+  Registry.counter("cache.hits", "plan-cache checksum-valid hits")
       .bridgeTo(hits());
-  Registry.counter(Prefix + "misses", "plan-cache misses (fresh generations)")
+  Registry.counter("cache.misses", "plan-cache misses (fresh generations)")
       .bridgeTo(misses());
   Registry
-      .counter(Prefix + "quarantined",
+      .counter("cache.quarantined",
                "corrupt plan-cache entries evicted on hit or rebuild")
       .bridgeTo(quarantined());
   Registry
-      .counter(Prefix + "rebuilt",
+      .counter("cache.rebuilt",
                "quarantined entries regenerated by repair passes")
       .bridgeTo(rebuilt());
-  Registry.gauge(Prefix + "size", "cached plans across all shards")
+  Registry.gauge("cache.size", "cached plans across all shards")
       .set(static_cast<double>(size()));
   Registry
-      .gauge(Prefix + "suspect-shards",
+      .gauge("cache.suspect-shards",
              "shards quarantined since the last repair pass")
       .set(static_cast<double>(suspectShards()));
 }
@@ -352,8 +343,8 @@ ErrorOr<ShardedKernelRepository::Lookup> ShardedKernelRepository::generateInto(
   Out.Fallback = Result->Fallback;
   Out.CacheHit = false;
   Out.Quarantined = WasQuarantine;
-  Out.VerifierRejections = Result->VerifierRejections;
-  Out.LintRejections = Result->LintRejections;
+  Out.VerifierRejections = Result->verifierRejections();
+  Out.LintRejections = Result->lintRejections();
 
   Entry Fresh;
   Fresh.Extents = Extents;
@@ -398,7 +389,6 @@ ShardedKernelRepository::lookupOrGenerate(
         Out.Fallback = It->second.Fallback;
         Out.CacheHit = true;
         Hits.fetch_add(1, std::memory_order_relaxed);
-        ++NumShardHits;
         return Out;
       }
       // Quarantine: evict the corrupt entry and mark the shard suspect so
@@ -409,13 +399,11 @@ ShardedKernelRepository::lookupOrGenerate(
       S.Suspect = true;
       WasQuarantine = true;
       Quarantined.fetch_add(1, std::memory_order_relaxed);
-      ++NumShardQuarantines;
       support::traceInstant("repository.quarantine",
                             {{"signature", Signature}});
     }
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
-  ++NumShardMisses;
   return generateInto(S, Signature, Spec, Extents, Override, WasQuarantine);
 }
 
@@ -434,7 +422,6 @@ ShardedKernelRepository::generateFresh(
     S.Entries.erase(Signature);
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
-  ++NumShardMisses;
   return generateInto(S, Signature, Spec, Extents, Override,
                       /*WasQuarantine=*/false);
 }
@@ -455,7 +442,6 @@ size_t ShardedKernelRepository::rebuildQuarantined() {
             It->second.Checksum) {
           ToRebuild.emplace_back(It->first, It->second.Extents);
           Quarantined.fetch_add(1, std::memory_order_relaxed);
-          ++NumShardQuarantines;
           It = S->Entries.erase(It);
         } else {
           ++It;
@@ -472,7 +458,6 @@ size_t ShardedKernelRepository::rebuildQuarantined() {
       if (!Fresh)
         continue; // the entry stays evicted; the next lookup retries
       Rebuilt.fetch_add(1, std::memory_order_relaxed);
-      ++NumShardRebuilds;
       ++RebuiltNow;
     }
   }

@@ -186,12 +186,12 @@ public:
   }
   uint64_t rebuilt() const { return Rebuilt.load(std::memory_order_relaxed); }
 
-  /// Mirrors the cache's tallies into \p Registry under "<Prefix>" names:
+  /// Mirrors the cache's tallies into \p Registry under "cache." names:
   /// hits/misses/quarantined/rebuilt as monotonic counters (bridgeTo, so
   /// repeated mirroring is idempotent), size/suspect-shards as gauges.
-  /// The service's telemetry exporters call this before every render.
-  void mirrorMetrics(support::MetricRegistry &Registry,
-                     const std::string &Prefix = "cache.") const;
+  /// The atomics above are the store; this is their only export. The
+  /// service's telemetry exporters call this before every render.
+  void mirrorMetrics(support::MetricRegistry &Registry) const;
 
 private:
   struct Entry {

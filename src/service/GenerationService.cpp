@@ -6,9 +6,7 @@
 
 #include "service/GenerationService.h"
 
-#include "support/Counters.h"
 #include "support/FaultInjection.h"
-#include "support/JsonWriter.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -23,21 +21,6 @@ using namespace cogent::service;
 using core::CogentOptions;
 using core::FallbackLevel;
 using core::ShardedKernelRepository;
-
-COGENT_COUNTER(NumServiceSubmitted, "service.submitted",
-               "requests admitted past the service's admission control");
-COGENT_COUNTER(NumServiceShed, "service.shed",
-               "requests shed at admission (queue-full / overloaded / "
-               "expired deadline)");
-COGENT_COUNTER(NumServiceRetries, "service.retries",
-               "generation attempts re-run after a transient failure");
-COGENT_COUNTER(NumServiceCoalesced, "service.coalesced",
-               "requests that rode another in-flight request's generation");
-COGENT_COUNTER(NumServiceDeadlineDegraded, "service.deadline-degraded",
-               "requests whose remaining deadline forced a degraded start "
-               "rung");
-COGENT_COUNTER(NumServiceBreakerTrips, "service.breaker-trips",
-               "per-signature circuit breakers tripped open");
 
 using Clock = std::chrono::steady_clock;
 
@@ -88,12 +71,52 @@ GenerationService::GenerationService(gpu::DeviceSpec Device,
                                      ServiceOptions Opts)
     : Options(std::move(Opts)), Generator(std::move(Device)),
       Repo(Generator, Options.NumShards, Options.Generation),
-      Telem(Options.Telemetry) {
+      Telem(Options.Telemetry),
+      Metrics(Telem.registry(), Options.Telemetry.HistogramShards) {
   Paused = Options.StartPaused;
   Workers.reserve(Options.NumWorkers);
   for (unsigned I = 0; I < Options.NumWorkers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
 }
+
+GenerationService::ServiceMetrics::ServiceMetrics(support::MetricRegistry &R,
+                                                 size_t HistogramShards)
+    : Submitted(R.counter("service.submitted", "requests entering submit()")),
+      Completed(R.counter("service.completed",
+                          "requests fulfilled with a plan")),
+      Failed(R.counter("service.failed",
+                       "requests fulfilled with a typed error")),
+      ShedQueueFull(R.counter("service.shed-queue-full",
+                              "requests shed on a full intake queue")),
+      ShedOverloaded(R.counter("service.shed-overloaded",
+                               "requests shed at the outstanding-work limit")),
+      ShedExpired(R.counter("service.shed-expired",
+                            "requests shed with a pre-expired deadline")),
+      ShedStopped(R.counter("service.shed-stopped",
+                            "requests submitted after stop()")),
+      Retries(R.counter("service.retries",
+                        "attempts re-run after a transient failure")),
+      Coalesced(R.counter("service.coalesced",
+                          "requests that rode another request's generation")),
+      BreakerTrips(R.counter("service.breaker-trips",
+                             "circuit breakers tripped open")),
+      BreakerResets(
+          R.counter("service.breaker-resets",
+                    "breakers closed again by a clean half-open probe")),
+      DeadlineDegraded(R.counter(
+          "service.deadline-degraded",
+          "requests forced onto a degraded start rung by their deadline")),
+      DeadlineExpired(R.counter(
+          "service.deadline-expired",
+          "requests whose deadline had fully expired before execution")),
+      LatencyMs(R.histogram(
+          "service.latency-ms",
+          "submit-to-completion wall clock of completed requests",
+          HistogramShards)),
+      QueueWaitMs(R.histogram(
+          "service.queue-wait-ms",
+          "time requests spent queued before a worker picked them up",
+          HistogramShards)) {}
 
 GenerationService::~GenerationService() { stop(); }
 
@@ -132,7 +155,7 @@ void GenerationService::stop() {
 
 ErrorOr<std::shared_ptr<PendingRequest>>
 GenerationService::submit(ServiceRequest Request) {
-  Tallies.Submitted.fetch_add(1, std::memory_order_relaxed);
+  Metrics.Submitted.add();
   const uint64_t RequestId = Telem.beginRequest();
   Telem.recordEvent(RequestId, RequestEventKind::Submitted, Request.Spec);
 
@@ -141,8 +164,7 @@ GenerationService::submit(ServiceRequest Request) {
   if (DeadlineMs < 0.0) {
     // Expired before any work could begin: the one deadline shape that is
     // an admission error rather than a degraded answer.
-    Tallies.ShedExpired.fetch_add(1, std::memory_order_relaxed);
-    ++NumServiceShed;
+    Metrics.ShedExpired.add();
     Telem.recordEvent(RequestId, RequestEventKind::Shed, "expired-deadline");
     return Error(ErrorCode::DeadlineExceeded,
                  "request deadline expired before submission");
@@ -164,8 +186,7 @@ GenerationService::submit(ServiceRequest Request) {
   // coarser limit (total admitted work, including coalesced followers and
   // executing jobs) sheds first.
   if (Outstanding.load(std::memory_order_relaxed) >= Options.MaxOutstanding) {
-    Tallies.ShedOverloaded.fetch_add(1, std::memory_order_relaxed);
-    ++NumServiceShed;
+    Metrics.ShedOverloaded.add();
     Telem.recordEvent(RequestId, RequestEventKind::Shed, "overloaded");
     return Error(ErrorCode::Overloaded,
                  "service outstanding-work limit reached (" +
@@ -175,16 +196,15 @@ GenerationService::submit(ServiceRequest Request) {
   {
     std::lock_guard<std::mutex> Guard(QueueLock);
     if (Stopping) {
-      // Not a ServiceStats shed bucket (submissions after stop() are a
-      // caller bug, not load), but the timeline law still holds: every
-      // request id ends in exactly one terminal event.
+      // A caller bug rather than load, but still a shed: the conservation
+      // law and the timeline law both hold after stop().
+      Metrics.ShedStopped.add();
       Telem.recordEvent(RequestId, RequestEventKind::Shed, "service-stopped");
       return Error(ErrorCode::ServiceStopped,
                    "service is stopped; request rejected at submission");
     }
     if (Queue.size() >= Options.QueueCapacity) {
-      Tallies.ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
-      ++NumServiceShed;
+      Metrics.ShedQueueFull.add();
       Telem.recordEvent(RequestId, RequestEventKind::Shed, "queue-full");
       return Error(ErrorCode::QueueFull,
                    "service intake queue is full (" +
@@ -194,7 +214,6 @@ GenerationService::submit(ServiceRequest Request) {
     Queue.push_back(Job);
     Outstanding.fetch_add(1, std::memory_order_relaxed);
   }
-  ++NumServiceSubmitted;
   QueueCv.notify_one();
   return Job;
 }
@@ -255,16 +274,12 @@ void GenerationService::fulfill(const std::shared_ptr<PendingRequest> &Job,
   if (Outcome) {
     Outcome->RequestId = Job->RequestId;
     Outcome->TotalMs = TotalMs;
-    Tallies.Completed.fetch_add(1, std::memory_order_relaxed);
-    Telem.registry()
-        .histogram("service.latency-ms",
-                   "submit-to-completion wall clock of completed requests",
-                   Options.Telemetry.HistogramShards)
-        .record(TotalMs);
+    Metrics.Completed.add();
+    Metrics.LatencyMs.record(TotalMs);
     Telem.recordEvent(Job->RequestId, RequestEventKind::Completed,
                       core::fallbackLevelName(Outcome->Fallback));
   } else {
-    Tallies.Failed.fetch_add(1, std::memory_order_relaxed);
+    Metrics.Failed.add();
     Telem.recordEvent(Job->RequestId, RequestEventKind::Failed,
                       errorCodeName(Outcome.error().code()));
   }
@@ -279,11 +294,7 @@ void GenerationService::fulfill(const std::shared_ptr<PendingRequest> &Job,
 void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
   const ServiceRequest &Request = Job->Request;
   double QueueMs = msBetween(Job->SubmittedAt, Clock::now());
-  Telem.registry()
-      .histogram("service.queue-wait-ms",
-                 "time requests spent queued before a worker picked them up",
-                 Options.Telemetry.HistogramShards)
-      .record(QueueMs);
+  Metrics.QueueWaitMs.record(QueueMs);
   Telem.recordEvent(Job->RequestId, RequestEventKind::Dequeued,
                     std::to_string(QueueMs));
 
@@ -298,8 +309,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
     auto [It, Inserted] = Flights.try_emplace(Signature);
     if (!Inserted) {
       It->second.Waiters.push_back(Job);
-      Tallies.Coalesced.fetch_add(1, std::memory_order_relaxed);
-      ++NumServiceCoalesced;
+      Metrics.Coalesced.add();
       Telem.recordEvent(Job->RequestId, RequestEventKind::Coalesced,
                         Signature);
       return;
@@ -333,7 +343,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
         Gen.StartRung = FallbackLevel::TtgtBaseline;
         Meta.DeadlineDegraded = true;
         Meta.DeadlineExpired = true;
-        Tallies.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
+        Metrics.DeadlineExpired.add();
       } else if (RemainingMs < Options.DegradeTtgtMs) {
         Gen.StartRung = FallbackLevel::TtgtBaseline;
         Meta.DeadlineDegraded = true;
@@ -347,8 +357,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
                                     : Share;
       }
       if (Meta.DeadlineDegraded) {
-        Tallies.DeadlineDegraded.fetch_add(1, std::memory_order_relaxed);
-        ++NumServiceDeadlineDegraded;
+        Metrics.DeadlineDegraded.add();
         Telem.recordEvent(Job->RequestId, RequestEventKind::DeadlineBand,
                           core::fallbackLevelName(Gen.StartRung));
         support::traceInstant(
@@ -420,15 +429,14 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
         const BreakerState Before = B.S;
         if (Clean) {
           if (B.S == BreakerState::HalfOpen)
-            Tallies.BreakerResets.fetch_add(1, std::memory_order_relaxed);
+            Metrics.BreakerResets.add();
           B.S = BreakerState::Closed;
           B.ConsecutiveRejections = 0;
         } else {
           if (B.S == BreakerState::HalfOpen ||
               ++B.ConsecutiveRejections >= Options.BreakerThreshold) {
             if (B.S != BreakerState::Open) {
-              Tallies.BreakerTrips.fetch_add(1, std::memory_order_relaxed);
-              ++NumServiceBreakerTrips;
+              Metrics.BreakerTrips.add();
               support::traceInstant("service.breaker-open",
                                     {{"signature", Signature}});
             }
@@ -475,8 +483,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
           (Attempt == 1 ? " attempt" : " attempts"));
       break;
     }
-    Tallies.Retries.fetch_add(1, std::memory_order_relaxed);
-    ++NumServiceRetries;
+    Metrics.Retries.add();
     double BackoffMs =
         std::min(Options.RetryBackoffBaseMs *
                      std::pow(2.0, static_cast<double>(Attempt - 1)),
@@ -516,65 +523,27 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
 
 ServiceStats GenerationService::stats() const {
   ServiceStats Out;
-  Out.Submitted = Tallies.Submitted.load(std::memory_order_relaxed);
-  Out.Completed = Tallies.Completed.load(std::memory_order_relaxed);
-  Out.Failed = Tallies.Failed.load(std::memory_order_relaxed);
-  Out.ShedQueueFull = Tallies.ShedQueueFull.load(std::memory_order_relaxed);
-  Out.ShedOverloaded =
-      Tallies.ShedOverloaded.load(std::memory_order_relaxed);
-  Out.ShedExpired = Tallies.ShedExpired.load(std::memory_order_relaxed);
-  Out.Retries = Tallies.Retries.load(std::memory_order_relaxed);
-  Out.Coalesced = Tallies.Coalesced.load(std::memory_order_relaxed);
+  Out.Submitted = Metrics.Submitted.value();
+  Out.Completed = Metrics.Completed.value();
+  Out.Failed = Metrics.Failed.value();
+  Out.ShedQueueFull = Metrics.ShedQueueFull.value();
+  Out.ShedOverloaded = Metrics.ShedOverloaded.value();
+  Out.ShedExpired = Metrics.ShedExpired.value();
+  Out.ShedStopped = Metrics.ShedStopped.value();
+  Out.Retries = Metrics.Retries.value();
+  Out.Coalesced = Metrics.Coalesced.value();
   Out.CacheHits = Repo.hits();
   Out.CacheMisses = Repo.misses();
   Out.Quarantined = Repo.quarantined();
-  Out.BreakerTrips = Tallies.BreakerTrips.load(std::memory_order_relaxed);
-  Out.BreakerResets = Tallies.BreakerResets.load(std::memory_order_relaxed);
-  Out.DeadlineDegraded =
-      Tallies.DeadlineDegraded.load(std::memory_order_relaxed);
-  Out.DeadlineExpired =
-      Tallies.DeadlineExpired.load(std::memory_order_relaxed);
+  Out.BreakerTrips = Metrics.BreakerTrips.value();
+  Out.BreakerResets = Metrics.BreakerResets.value();
+  Out.DeadlineDegraded = Metrics.DeadlineDegraded.value();
+  Out.DeadlineExpired = Metrics.DeadlineExpired.value();
   return Out;
 }
 
 void GenerationService::syncRegistry() const {
   support::MetricRegistry &R = Telem.registry();
-  const ServiceStats S = stats();
-  R.counter("service.submitted", "requests entering submit()")
-      .bridgeTo(S.Submitted);
-  R.counter("service.completed", "requests fulfilled with a plan")
-      .bridgeTo(S.Completed);
-  R.counter("service.failed", "requests fulfilled with a typed error")
-      .bridgeTo(S.Failed);
-  R.counter("service.shed-queue-full", "requests shed on a full intake queue")
-      .bridgeTo(S.ShedQueueFull);
-  R.counter("service.shed-overloaded",
-            "requests shed at the outstanding-work limit")
-      .bridgeTo(S.ShedOverloaded);
-  R.counter("service.shed-expired",
-            "requests shed with a pre-expired deadline")
-      .bridgeTo(S.ShedExpired);
-  R.counter("service.retries", "attempts re-run after a transient failure")
-      .bridgeTo(S.Retries);
-  R.counter("service.coalesced",
-            "requests that rode another request's generation")
-      .bridgeTo(S.Coalesced);
-  R.counter("service.breaker-trips", "circuit breakers tripped open")
-      .bridgeTo(S.BreakerTrips);
-  R.counter("service.breaker-resets",
-            "breakers closed again by a clean half-open probe")
-      .bridgeTo(S.BreakerResets);
-  R.counter("service.deadline-degraded",
-            "requests forced onto a degraded start rung by their deadline")
-      .bridgeTo(S.DeadlineDegraded);
-  R.counter("service.deadline-expired",
-            "requests whose deadline had fully expired before execution")
-      .bridgeTo(S.DeadlineExpired);
-  R.counter("telemetry.events-recorded", "lifecycle events recorded")
-      .bridgeTo(Telem.eventsRecorded());
-  R.counter("telemetry.events-dropped",
-            "events evicted from the bounded in-memory ring")
-      .bridgeTo(Telem.eventsDropped());
   R.gauge("service.outstanding", "requests admitted but not yet fulfilled")
       .set(static_cast<double>(Outstanding.load(std::memory_order_relaxed)));
   {

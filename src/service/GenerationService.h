@@ -35,6 +35,10 @@
 ///    (closed -> open -> half-open probe -> closed), so a pathological
 ///    contraction cannot keep burning retries in the expensive pipeline.
 ///
+/// Each service fact is counted once, as a counter in the telemetry
+/// registry (service/Telemetry.h); ServiceStats, the JSON snapshot and the
+/// Prometheus text are views over those counters.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COGENT_SERVICE_GENERATIONSERVICE_H
@@ -153,8 +157,11 @@ struct ServiceResult {
   double TotalMs = 0.0;
 };
 
-/// Monotonic service-lifetime tallies. completed + failed + shed equals
-/// submitted once the service is idle — nothing is ever silently dropped.
+/// Monotonic service-lifetime tallies: a point-in-time view of the
+/// service's registry counters (the same values telemetrySnapshot exports
+/// under "service.*" and "cache.*"). Completed + failed + the four shed
+/// buckets equals submitted once the service is idle — nothing is ever
+/// silently dropped, not even a submit after stop().
 struct ServiceStats {
   uint64_t Submitted = 0;
   uint64_t Completed = 0;
@@ -162,6 +169,8 @@ struct ServiceStats {
   uint64_t ShedQueueFull = 0;
   uint64_t ShedOverloaded = 0;
   uint64_t ShedExpired = 0;
+  /// Submits rejected because stop() had already run.
+  uint64_t ShedStopped = 0;
   uint64_t Retries = 0;
   uint64_t Coalesced = 0;
   uint64_t CacheHits = 0;
@@ -171,6 +180,11 @@ struct ServiceStats {
   uint64_t BreakerResets = 0;
   uint64_t DeadlineDegraded = 0;
   uint64_t DeadlineExpired = 0;
+
+  /// All four shed buckets.
+  uint64_t shed() const {
+    return ShedQueueFull + ShedOverloaded + ShedExpired + ShedStopped;
+  }
 };
 
 /// Opaque handle to a submitted request; defined in the .cpp.
@@ -226,9 +240,9 @@ public:
   ServiceTelemetry &telemetry() { return Telem; }
   const ServiceTelemetry &telemetry() const { return Telem; }
 
-  /// Point-in-time JSON snapshot of the whole registry (stats, cache and
-  /// process counters bridged in, queue gauges refreshed, latency /
-  /// queue-wait histograms): one {"counters":..,"gauges":..,
+  /// Point-in-time JSON snapshot of the whole registry (service counters,
+  /// cache and process counters mirrored in, queue gauges refreshed,
+  /// latency / queue-wait histograms): one {"counters":..,"gauges":..,
   /// "histograms":..} object. The cogent_cli --telemetry-json payload.
   std::string telemetrySnapshot() const;
 
@@ -248,9 +262,9 @@ private:
   void execute(const std::shared_ptr<PendingRequest> &Job);
   void fulfill(const std::shared_ptr<PendingRequest> &Job,
                ErrorOr<ServiceResult> Outcome);
-  /// Bridges Tallies, cache stats and the process counter table into the
-  /// telemetry registry and refreshes the liveness gauges; both exporters
-  /// call this so a snapshot is always current.
+  /// Refreshes the liveness gauges and mirrors the cache and the process
+  /// counter table into the telemetry registry; both exporters call this
+  /// so a snapshot is always current.
   void syncRegistry() const;
 
   ServiceOptions Options;
@@ -283,17 +297,21 @@ private:
   mutable std::mutex BreakersLock;
   std::unordered_map<std::string, Breaker> Breakers;
 
-  /// Mutable so the const exporters can bridge tallies into the registry
-  /// (monotonic ratchets; logically read-only).
+  /// Mutable so the const exporters can refresh the gauges (logically
+  /// read-only).
   mutable ServiceTelemetry Telem;
 
-  struct AtomicStats {
-    std::atomic<uint64_t> Submitted{0}, Completed{0}, Failed{0},
-        ShedQueueFull{0}, ShedOverloaded{0}, ShedExpired{0}, Retries{0},
-        Coalesced{0}, BreakerTrips{0}, BreakerResets{0},
-        DeadlineDegraded{0}, DeadlineExpired{0};
+  /// The service's counters and histograms, registered once in
+  /// Telem.registry(). They are the only store of these facts: each event
+  /// is one add/record, and stats() and both exporters read them back.
+  struct ServiceMetrics {
+    ServiceMetrics(support::MetricRegistry &R, size_t HistogramShards);
+    support::MetricCounter &Submitted, &Completed, &Failed, &ShedQueueFull,
+        &ShedOverloaded, &ShedExpired, &ShedStopped, &Retries, &Coalesced,
+        &BreakerTrips, &BreakerResets, &DeadlineDegraded, &DeadlineExpired;
+    support::ConcurrentHistogram &LatencyMs, &QueueWaitMs;
   };
-  AtomicStats Tallies;
+  ServiceMetrics Metrics;
 };
 
 } // namespace service

@@ -100,7 +100,12 @@ std::string RequestEvent::toJson() const {
 }
 
 ServiceTelemetry::ServiceTelemetry(TelemetryOptions Options)
-    : Options(std::move(Options)), Epoch(std::chrono::steady_clock::now()) {
+    : Options(std::move(Options)), Epoch(std::chrono::steady_clock::now()),
+      Recorded(Registry.counter("telemetry.events-recorded",
+                                "lifecycle events recorded")),
+      Dropped(Registry.counter("telemetry.events-dropped",
+                               "events evicted from the bounded in-memory "
+                               "ring")) {
   if (this->Options.EventCapacity == 0)
     this->Options.EventCapacity = 1;
   if (!this->Options.EventLogJsonlPath.empty())
@@ -148,11 +153,11 @@ void ServiceTelemetry::recordEvent(uint64_t RequestId, RequestEventKind Kind,
       std::fflush(JsonlSink);
     }
   }
-  ++Recorded;
+  Recorded.add();
   Events.push_back(std::move(Event));
   while (Events.size() > Options.EventCapacity) {
     Events.pop_front();
-    ++Dropped;
+    Dropped.add();
   }
 }
 
@@ -161,12 +166,6 @@ std::vector<RequestEvent> ServiceTelemetry::events() const {
   return std::vector<RequestEvent>(Events.begin(), Events.end());
 }
 
-uint64_t ServiceTelemetry::eventsRecorded() const {
-  std::lock_guard<std::mutex> Guard(EventsLock);
-  return Recorded;
-}
+uint64_t ServiceTelemetry::eventsRecorded() const { return Recorded.value(); }
 
-uint64_t ServiceTelemetry::eventsDropped() const {
-  std::lock_guard<std::mutex> Guard(EventsLock);
-  return Dropped;
-}
+uint64_t ServiceTelemetry::eventsDropped() const { return Dropped.value(); }

@@ -26,9 +26,11 @@
 /// one self-contained JSON object per line, the grep-able production log.
 ///
 /// ServiceTelemetry also owns the service's MetricRegistry
-/// (support/Metrics.h): latency/queue-wait histograms, stat counters and
-/// liveness gauges, exported as a JSON snapshot and as Prometheus text by
-/// GenerationService::telemetrySnapshot()/telemetryPrometheus().
+/// (support/Metrics.h), the one store of the service's counters (its own
+/// event tallies, the service's request tallies), latency/queue-wait
+/// histograms and liveness gauges, exported as a JSON snapshot and as
+/// Prometheus text by GenerationService::telemetrySnapshot()/
+/// telemetryPrometheus().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -186,11 +188,12 @@ private:
 
   mutable std::mutex EventsLock;
   std::deque<RequestEvent> Events;
-  uint64_t Recorded = 0;
-  uint64_t Dropped = 0;
   std::FILE *JsonlSink = nullptr;
 
   support::MetricRegistry Registry;
+  /// "telemetry.events-recorded" / "telemetry.events-dropped" in Registry.
+  support::MetricCounter &Recorded;
+  support::MetricCounter &Dropped;
 };
 
 } // namespace service

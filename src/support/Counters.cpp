@@ -87,11 +87,10 @@ void cogent::support::writeCountersJson(JsonWriter &W,
   W.endObject();
 }
 
-void cogent::support::bridgeProcessCounters(MetricRegistry &Registry,
-                                            const std::string &Prefix) {
+void cogent::support::bridgeProcessCounters(MetricRegistry &Registry) {
   // bridgeTo only ratchets upward, so repeated bridging of the monotonic
   // process table is idempotent per value and safe from any thread.
   for (const CounterValue &Entry : snapshotCounters())
-    Registry.counter(Prefix + Entry.Name, Entry.Description)
+    Registry.counter(std::string("process.") + Entry.Name, Entry.Description)
         .bridgeTo(Entry.Value);
 }

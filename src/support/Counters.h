@@ -19,6 +19,11 @@
 /// (snapshotCounters remains for whole-process views, where cross-thread
 /// bleed is the desired semantics.)
 ///
+/// The table holds process-wide pipeline facts only. The service's
+/// request tallies live in its MetricRegistry (support/Metrics.h) and the
+/// plan cache's in ShardedKernelRepository's atomics; none is mirrored
+/// here, so every fact has one store and one exported name.
+///
 /// Naming convention: "<component>.<noun>" in kebab-case, e.g.
 /// "enumerator.hardware-pruned" — see docs/ARCHITECTURE.md §10.
 ///

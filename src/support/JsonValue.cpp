@@ -100,11 +100,13 @@ std::optional<double> JsonValue::findNumber(const std::string &Key) const {
 
 namespace {
 
-/// Recursive-descent parser, structurally the twin of the
-/// json_detail::Checker in JsonWriter.h but building a DOM.
+/// Recursive-descent RFC 8259 parser over [P, End). On failure, errorOffset()
+/// is the byte it stopped at.
 class Parser {
 public:
   Parser(const char *P, const char *End) : Begin(P), P(P), End(End) {}
+
+  size_t errorOffset() const { return static_cast<size_t>(P - Begin); }
 
   ErrorOr<JsonValue> run() {
     skipWs();
@@ -120,8 +122,7 @@ public:
 private:
   Error fail(const std::string &Msg) const {
     return Error(ErrorCode::InvalidSpec,
-                 Msg + " at offset " +
-                     std::to_string(static_cast<size_t>(P - Begin)));
+                 Msg + " at offset " + std::to_string(errorOffset()));
   }
 
   void skipWs() {
@@ -129,13 +130,12 @@ private:
       ++P;
   }
 
+  /// On a mismatch P stays on the first byte that differs, so the error
+  /// points there.
   bool literal(const char *Word) {
-    const char *Save = P;
     for (; *Word; ++Word, ++P)
-      if (P == End || *P != *Word) {
-        P = Save;
+      if (P == End || *P != *Word)
         return false;
-      }
     return true;
   }
 
@@ -338,4 +338,32 @@ private:
 ErrorOr<JsonValue> cogent::support::parseJson(const std::string &Text) {
   Parser P(Text.data(), Text.data() + Text.size());
   return P.run();
+}
+
+bool cogent::support::validateJson(const std::string &Text, std::string *Err) {
+  return validateJsonAt(Text, Err, nullptr, nullptr);
+}
+
+bool cogent::support::validateJsonAt(const std::string &Text, std::string *Err,
+                                     size_t *ErrLine, size_t *ErrColumn) {
+  Parser P(Text.data(), Text.data() + Text.size());
+  ErrorOr<JsonValue> Parsed = P.run();
+  if (Parsed)
+    return true;
+  if (Err)
+    *Err = Parsed.error().message();
+  size_t Line = 1, Column = 1;
+  for (size_t I = 0; I < P.errorOffset() && I < Text.size(); ++I) {
+    if (Text[I] == '\n') {
+      ++Line;
+      Column = 1;
+    } else {
+      ++Column;
+    }
+  }
+  if (ErrLine)
+    *ErrLine = Line;
+  if (ErrColumn)
+    *ErrColumn = Column;
+  return false;
 }

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The reading half of the dependency-free JSON layer: JsonWriter.h emits
-/// and syntax-checks, this file *parses* into a small DOM so tools can
-/// inspect values — bench_compare reads throughput/latency fields out of
-/// BENCH_service.json, tests read exporter snapshots back. Accepts exactly
-/// the RFC 8259 grammar (same limits as the checker: 256-deep nesting);
-/// numbers are doubles, objects preserve insertion order and reject
-/// duplicate keys (none of our emitters produce them, and catching one
-/// here catches an emitter bug).
+/// The reading half of the dependency-free JSON layer (JsonWriter.h
+/// emits): one recursive-descent parser that builds a small DOM so tools
+/// can inspect values — bench_compare reads throughput/latency fields out
+/// of BENCH_service.json, tests read exporter snapshots back — and that
+/// also backs validateJson, the well-formedness check json_lint, the tests
+/// and the bench reporters run. Accepts exactly the RFC 8259 grammar with
+/// at most 256-deep nesting; numbers are doubles, objects preserve
+/// insertion order and reject duplicate keys (none of our emitters produce
+/// them, and catching one here catches an emitter bug).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,6 +79,16 @@ private:
 /// object keys and trailing garbage) come back as ErrorCode::InvalidSpec
 /// with a byte-offset message.
 ErrorOr<JsonValue> parseJson(const std::string &Text);
+
+/// Returns true when parseJson accepts \p Text; on failure \p Err (when
+/// non-null) receives its one-line reason with the byte offset.
+bool validateJson(const std::string &Text, std::string *Err = nullptr);
+
+/// Like validateJson, but also reports where the first error was found:
+/// \p ErrLine / \p ErrColumn (when non-null) receive the 1-based position
+/// of the byte the parser stopped at. Tools print "file:line:col".
+bool validateJsonAt(const std::string &Text, std::string *Err,
+                    size_t *ErrLine, size_t *ErrColumn);
 
 } // namespace support
 } // namespace cogent

@@ -1,21 +1,19 @@
-//===- support/JsonWriter.h - Dependency-free JSON emission/checking -------===//
+//===- support/JsonWriter.h - Dependency-free JSON emission ---------------===//
 //
 // Part of the COGENT reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal streaming JSON writer (and a matching validity checker) shared
-/// by the tracing sink, the counter/metrics exporter, the CLI and the bench
-/// harness reporters. Header-only and dependency-free on purpose: the
-/// observability layer must never pull a third-party serializer into the
-/// core libraries.
+/// A minimal streaming JSON writer shared by the tracing sink, the
+/// counter/metrics exporter, the CLI and the bench harness reporters.
+/// Header-only and dependency-free on purpose: the observability layer
+/// must never pull a third-party serializer into the core libraries.
 ///
 /// The writer inserts commas automatically and escapes strings per RFC
 /// 8259. Non-finite doubles (which JSON cannot represent) are emitted as
-/// null. The checker is a recursive-descent parser that accepts exactly the
-/// RFC 8259 grammar; tests and scripts/run_all.sh use it to reject
-/// malformed trace/metrics/bench files.
+/// null. The reading half — parseJson and the validateJson checks built on
+/// it — lives in support/JsonValue.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,237 +141,6 @@ private:
   std::vector<Scope> Scopes;
   bool PendingKey = false;
 };
-
-namespace json_detail {
-
-/// Recursive-descent RFC 8259 checker over [P, End).
-class Checker {
-public:
-  Checker(const char *P, const char *End) : P(P), End(End) {}
-
-  bool run(std::string *Err, size_t *ErrOffset = nullptr) {
-    skipWs();
-    if (!parseValue()) {
-      if (Err)
-        *Err = Error + " at offset " + std::to_string(Offset());
-      if (ErrOffset)
-        *ErrOffset = Offset();
-      return false;
-    }
-    skipWs();
-    if (P != End) {
-      if (Err)
-        *Err = "trailing garbage at offset " + std::to_string(Offset());
-      if (ErrOffset)
-        *ErrOffset = Offset();
-      return false;
-    }
-    return true;
-  }
-
-private:
-  size_t Offset() const { return static_cast<size_t>(P - Begin); }
-
-  void skipWs() {
-    while (P != End && (*P == ' ' || *P == '\t' || *P == '\n' || *P == '\r'))
-      ++P;
-  }
-
-  bool fail(const char *Msg) {
-    Error = Msg;
-    return false;
-  }
-
-  bool literal(const char *Word) {
-    for (; *Word; ++Word, ++P)
-      if (P == End || *P != *Word)
-        return fail("bad literal");
-    return true;
-  }
-
-  bool parseString() {
-    if (P == End || *P != '"')
-      return fail("expected string");
-    ++P;
-    while (P != End && *P != '"') {
-      if (static_cast<unsigned char>(*P) < 0x20)
-        return fail("unescaped control character in string");
-      if (*P == '\\') {
-        ++P;
-        if (P == End)
-          return fail("truncated escape");
-        switch (*P) {
-        case '"': case '\\': case '/': case 'b': case 'f':
-        case 'n': case 'r': case 't':
-          ++P;
-          break;
-        case 'u':
-          ++P;
-          for (int I = 0; I < 4; ++I, ++P)
-            if (P == End || !std::isxdigit(static_cast<unsigned char>(*P)))
-              return fail("bad \\u escape");
-          break;
-        default:
-          return fail("bad escape character");
-        }
-      } else {
-        ++P;
-      }
-    }
-    if (P == End)
-      return fail("unterminated string");
-    ++P; // closing quote
-    return true;
-  }
-
-  bool parseNumber() {
-    if (P != End && *P == '-')
-      ++P;
-    if (P == End || !std::isdigit(static_cast<unsigned char>(*P)))
-      return fail("bad number");
-    if (*P == '0')
-      ++P;
-    else
-      while (P != End && std::isdigit(static_cast<unsigned char>(*P)))
-        ++P;
-    if (P != End && *P == '.') {
-      ++P;
-      if (P == End || !std::isdigit(static_cast<unsigned char>(*P)))
-        return fail("bad fraction");
-      while (P != End && std::isdigit(static_cast<unsigned char>(*P)))
-        ++P;
-    }
-    if (P != End && (*P == 'e' || *P == 'E')) {
-      ++P;
-      if (P != End && (*P == '+' || *P == '-'))
-        ++P;
-      if (P == End || !std::isdigit(static_cast<unsigned char>(*P)))
-        return fail("bad exponent");
-      while (P != End && std::isdigit(static_cast<unsigned char>(*P)))
-        ++P;
-    }
-    return true;
-  }
-
-  bool parseValue() {
-    if (++Depth > MaxDepth)
-      return fail("nesting too deep");
-    bool Ok = parseValueImpl();
-    --Depth;
-    return Ok;
-  }
-
-  bool parseValueImpl() {
-    if (P == End)
-      return fail("unexpected end of input");
-    switch (*P) {
-    case '{': {
-      ++P;
-      skipWs();
-      if (P != End && *P == '}') {
-        ++P;
-        return true;
-      }
-      for (;;) {
-        skipWs();
-        if (!parseString())
-          return false;
-        skipWs();
-        if (P == End || *P != ':')
-          return fail("expected ':'");
-        ++P;
-        skipWs();
-        if (!parseValue())
-          return false;
-        skipWs();
-        if (P != End && *P == ',') {
-          ++P;
-          continue;
-        }
-        if (P != End && *P == '}') {
-          ++P;
-          return true;
-        }
-        return fail("expected ',' or '}'");
-      }
-    }
-    case '[': {
-      ++P;
-      skipWs();
-      if (P != End && *P == ']') {
-        ++P;
-        return true;
-      }
-      for (;;) {
-        skipWs();
-        if (!parseValue())
-          return false;
-        skipWs();
-        if (P != End && *P == ',') {
-          ++P;
-          continue;
-        }
-        if (P != End && *P == ']') {
-          ++P;
-          return true;
-        }
-        return fail("expected ',' or ']'");
-      }
-    }
-    case '"':
-      return parseString();
-    case 't':
-      return literal("true");
-    case 'f':
-      return literal("false");
-    case 'n':
-      return literal("null");
-    default:
-      return parseNumber();
-    }
-  }
-
-  static constexpr int MaxDepth = 256;
-  const char *P;
-  const char *Begin = P;
-  const char *End;
-  int Depth = 0;
-  std::string Error;
-};
-
-} // namespace json_detail
-
-/// Returns true when \p Text is one well-formed RFC 8259 JSON value; on
-/// failure \p Err (when non-null) receives a one-line reason with offset.
-inline bool validateJson(const std::string &Text, std::string *Err = nullptr) {
-  json_detail::Checker C(Text.data(), Text.data() + Text.size());
-  return C.run(Err);
-}
-
-/// Like validateJson, but also reports where the first error was found:
-/// \p ErrLine / \p ErrColumn (when non-null) receive the 1-based position
-/// of the byte the checker stopped at. Tools print "file:line:col".
-inline bool validateJsonAt(const std::string &Text, std::string *Err,
-                           size_t *ErrLine, size_t *ErrColumn) {
-  json_detail::Checker C(Text.data(), Text.data() + Text.size());
-  size_t Offset = 0;
-  if (C.run(Err, &Offset))
-    return true;
-  size_t Line = 1, Column = 1;
-  for (size_t I = 0; I < Offset && I < Text.size(); ++I) {
-    if (Text[I] == '\n') {
-      ++Line;
-      Column = 1;
-    } else {
-      ++Column;
-    }
-  }
-  if (ErrLine)
-    *ErrLine = Line;
-  if (ErrColumn)
-    *ErrColumn = Column;
-  return false;
-}
 
 } // namespace support
 } // namespace cogent

@@ -22,7 +22,10 @@
 ///    counters, gauges and histograms with two deterministic exporters:
 ///    a JSON object (via the repo's own JsonWriter) and the Prometheus
 ///    text exposition format (counters/gauges as-is, histograms as
-///    quantile summaries).
+///    quantile summaries). A registry counter is the store of the fact it
+///    counts (the service's request tallies); only facts stored elsewhere
+///    — the process counter table, the plan cache's atomics — are
+///    mirrored in with MetricCounter::bridgeTo before an export.
 ///
 /// Naming convention matches Counters.h: "<component>.<noun>" kebab-case
 /// ("service.latency-ms"); the Prometheus renderer sanitizes to
@@ -172,14 +175,10 @@ private:
 class MetricCounter {
 public:
   void add(uint64_t N = 1) { Value_.fetch_add(N, std::memory_order_relaxed); }
-  MetricCounter &operator++() {
-    add(1);
-    return *this;
-  }
   /// Raises the counter to \p V if below it (never decreases): the bridge
-  /// for mirroring an externally-maintained monotonic tally — the
-  /// process-wide support::Counter table, the service's atomic stats —
-  /// into the registry.
+  /// for mirroring a monotonic tally whose store lives elsewhere — the
+  /// process-wide support::Counter table, the plan cache's atomics — into
+  /// the registry.
   void bridgeTo(uint64_t V) {
     uint64_t Cur = Value_.load(std::memory_order_relaxed);
     while (Cur < V &&
@@ -258,11 +257,10 @@ private:
 std::string prometheusName(const std::string &Name);
 
 /// Bridges the process-wide support::Counter table (snapshotCounters)
-/// into \p Registry as monotonic counters named "<Prefix><name>". Safe to
+/// into \p Registry as monotonic counters named "process.<name>". Safe to
 /// call repeatedly — values only ratchet upward. Defined in Counters.cpp
 /// next to the snapshot it consumes.
-void bridgeProcessCounters(MetricRegistry &Registry,
-                           const std::string &Prefix = "process.");
+void bridgeProcessCounters(MetricRegistry &Registry);
 
 } // namespace support
 } // namespace cogent

@@ -166,8 +166,8 @@ TEST(ChaosPipeline, SameSeedInjectsIdenticalFaults) {
                 counterValue(R2->Counters, Name))
           << "seed " << Seed << " " << Name;
     }
-    EXPECT_EQ(R1->VerifierRejections, R2->VerifierRejections);
-    EXPECT_EQ(R1->LintRejections, R2->LintRejections);
+    EXPECT_EQ(R1->verifierRejections(), R2->verifierRejections());
+    EXPECT_EQ(R1->lintRejections(), R2->lintRejections());
     EXPECT_EQ(R1->Fallback, R2->Fallback);
     EXPECT_EQ(R1->DeviceMutated, R2->DeviceMutated);
     EXPECT_EQ(R1->EnumerationAborted, R2->EnumerationAborted);
@@ -259,7 +259,7 @@ TEST(ChaosPipeline, CodegenMutateIsCaughtByTheStrictLintGate) {
 
     uint64_t Fired =
         counterValue(Result->Counters, "chaos.fired.codegen-mutate");
-    EXPECT_LE(Result->LintRejections, Fired) << "seed " << Seed;
+    EXPECT_LE(Result->lintRejections(), Fired) << "seed " << Seed;
 
     const Contraction &PlanTC =
         Result->Fallback == FallbackLevel::TtgtBaseline
@@ -274,7 +274,7 @@ TEST(ChaosPipeline, CodegenMutateIsCaughtByTheStrictLintGate) {
                                     : Report.Findings.front().render());
 
     TotalFired += Fired;
-    TotalRejected += Result->LintRejections;
+    TotalRejected += Result->lintRejections();
   }
   // The sweep genuinely mutated sources and the gate genuinely caught
   // some: a zero in either place means the site or the gate is dead.
@@ -292,8 +292,8 @@ TEST(ChaosPipeline, ChaosOffRunsAreUnaffected) {
   ErrorOr<core::GenerationResult> Result = Generator.generate(TC, Options);
   ASSERT_TRUE(Result.hasValue());
   EXPECT_EQ(counterValue(Result->Counters, "chaos.fired"), 0u);
-  EXPECT_EQ(Result->VerifierRejections, 0u);
-  EXPECT_EQ(Result->LintRejections, 0u);
+  EXPECT_EQ(Result->verifierRejections(), 0u);
+  EXPECT_EQ(Result->lintRejections(), 0u);
   EXPECT_TRUE(Result->LintFindings.empty());
   EXPECT_EQ(Result->Fallback, FallbackLevel::None);
   EXPECT_FALSE(Result->DeviceMutated);

@@ -271,7 +271,7 @@ PipelineOutcome runPipeline(
                                 << (Report.Findings.empty()
                                         ? std::string()
                                         : Report.Findings.front().render());
-    EXPECT_EQ(Result->LintRejections, 0u) << TC->toStringWithExtents();
+    EXPECT_EQ(Result->lintRejections(), 0u) << TC->toStringWithExtents();
   }
 
   if (CheckNumerics && !Result->empty())

@@ -27,7 +27,7 @@
 #include "core/KernelPlan.h"
 #include "gpu/KernelSimulator.h"
 #include "suite/TccgSuite.h"
-#include "support/JsonWriter.h"
+#include "support/JsonValue.h"
 #include "support/Random.h"
 #include "tensor/Reference.h"
 
@@ -199,7 +199,7 @@ TEST(KernelLint, WarnModeRecordsWithoutRejecting) {
   core::Cogent Generator(gpu::makeV100());
   ErrorOr<core::GenerationResult> Result = Generator.generate(TC, Options);
   ASSERT_TRUE(Result.hasValue());
-  EXPECT_EQ(Result->LintRejections, 0u);
+  EXPECT_EQ(Result->lintRejections(), 0u);
   EXPECT_TRUE(Result->LintFindings.empty());
 }
 
@@ -214,7 +214,7 @@ TEST(KernelLint, SeedSuiteLintsCleanStrictOnBothDevices) {
       ErrorOr<core::GenerationResult> Result =
           Generator.generate(Entry.contraction());
       ASSERT_TRUE(Result.hasValue()) << Entry.Name << " on " << Device.Name;
-      EXPECT_EQ(Result->LintRejections, 0u)
+      EXPECT_EQ(Result->lintRejections(), 0u)
           << Entry.Name << " on " << Device.Name;
       EXPECT_TRUE(Result->LintFindings.empty())
           << Entry.Name << " on " << Device.Name << ":\n"
@@ -285,7 +285,9 @@ TEST(KernelLint, StrictGateKeepsMetricsJsonWellFormed) {
   Hostile.Line = 12;
   Hostile.Message = "stride \"s_A\" \\ mismatch\nsecond line";
   Result->LintFindings.push_back(Hostile);
-  Result->LintRejections = 2;
+  for (support::CounterValue &C : Result->Counters)
+    if (std::string(C.Name) == "lint.rejections")
+      C.Value = 2;
 
   std::string Json =
       core::renderMetricsJson(TC, *Result, gpu::makeV100());

@@ -17,6 +17,7 @@
 
 #include "core/Cogent.h"
 #include "support/Counters.h"
+#include "support/JsonValue.h"
 #include "support/JsonWriter.h"
 #include "support/Trace.h"
 
@@ -83,7 +84,8 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
 TEST(JsonValidate, RejectsMalformedDocuments) {
   for (const char *Bad :
        {"", "{", "[1,]", "{\"a\":}", "{\"a\":1,}", "tru", "\"unterminated",
-        "[1] trailing", "{\"a\" 1}", "01", "+1", "\"\\x\""}) {
+        "[1] trailing", "{\"a\" 1}", "01", "+1", "\"\\x\"",
+        "{\"a\":1,\"a\":2}"}) {
     std::string Err;
     EXPECT_FALSE(support::validateJson(Bad, &Err)) << Bad;
     EXPECT_FALSE(Err.empty()) << Bad;

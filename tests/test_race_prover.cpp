@@ -330,8 +330,8 @@ TEST(RaceProver, StrictGateCountsRaceRejections) {
   core::Cogent Generator(gpu::makeV100());
   ErrorOr<core::GenerationResult> Result = Generator.generate(C.TC);
   ASSERT_TRUE(Result.hasValue());
-  EXPECT_EQ(Result->RaceFindings, 0u);
-  EXPECT_EQ(Result->RaceRejections, 0u);
+  EXPECT_EQ(Result->raceFindings(), 0u);
+  EXPECT_EQ(Result->raceRejections(), 0u);
   // The metrics document carries both fields for bench_compare.
   std::string Json =
       core::renderMetricsJson(C.TC, *Result, gpu::makeV100());

@@ -236,6 +236,10 @@ TEST(Service, StopFailsQueuedRequestsTyped) {
   ServiceStats Stats = Service.stats();
   EXPECT_EQ(Stats.Failed, 2u);
   EXPECT_EQ(Stats.Submitted, 3u);
+  // The conservation law holds after stop(): the late submit is shed.
+  EXPECT_EQ(Stats.Submitted,
+            Stats.Completed + Stats.Failed + Stats.ShedQueueFull +
+                Stats.ShedOverloaded + Stats.ShedExpired + Stats.ShedStopped);
 }
 
 TEST(Service, BatchMixesSuccessAndTypedFailurePerIndex) {

@@ -525,6 +525,84 @@ TEST(ServiceTimelines, SnapshotAndPrometheusAgreeOnServiceState) {
             std::string::npos);
 }
 
+TEST(ServiceTimelines, SnapshotAloneCarriesEveryServiceInvariant) {
+  // One service that completes, coalesces (or serves from the cache),
+  // sheds on a full queue and receives a post-stop submit. Everything
+  // below reads only the exported snapshot and Prometheus text.
+  ServiceOptions Options;
+  Options.StartPaused = true;
+  Options.NumWorkers = 2;
+  Options.QueueCapacity = 3;
+  GenerationService Service(gpu::makeV100(), Options);
+  ServiceRequest Request;
+  Request.Spec = "abcdef-gdab-efgc"; // slow enough for followers to coalesce
+  for (char C = 'a'; C <= 'g'; ++C)
+    Request.Extents.emplace_back(C, 16);
+
+  std::vector<std::shared_ptr<service::PendingRequest>> Handles;
+  for (int I = 0; I < 3; ++I) {
+    auto Handle = Service.submit(Request);
+    ASSERT_TRUE(Handle.hasValue()) << Handle.errorMessage();
+    Handles.push_back(*Handle);
+  }
+  auto Full = Service.submit(Request);
+  ASSERT_FALSE(Full.hasValue());
+  EXPECT_EQ(Full.errorCode(), ErrorCode::QueueFull);
+  Service.resume();
+  for (const auto &Handle : Handles)
+    ASSERT_TRUE(Service.wait(Handle).hasValue());
+  Service.stop();
+  auto Late = Service.submit(Request);
+  ASSERT_FALSE(Late.hasValue());
+  EXPECT_EQ(Late.errorCode(), ErrorCode::ServiceStopped);
+
+  ErrorOr<JsonValue> Parsed = support::parseJson(Service.telemetrySnapshot());
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.errorMessage();
+  const JsonValue *Counters = Parsed->find("counters");
+  ASSERT_NE(Counters, nullptr);
+  auto count = [&](const char *Name) {
+    std::optional<double> V = Counters->findNumber(Name);
+    EXPECT_TRUE(V.has_value()) << Name << " missing from the snapshot";
+    return V.value_or(-1.0);
+  };
+  EXPECT_EQ(count("service.submitted"), 5.0);
+  EXPECT_EQ(count("service.completed"), 3.0);
+  EXPECT_EQ(count("service.shed-queue-full"), 1.0);
+  EXPECT_EQ(count("service.shed-stopped"), 1.0);
+  EXPECT_EQ(count("service.coalesced") + count("cache.hits"), 2.0);
+  EXPECT_EQ(count("service.submitted"),
+            count("service.completed") + count("service.failed") +
+                count("service.shed-queue-full") +
+                count("service.shed-overloaded") +
+                count("service.shed-expired") +
+                count("service.shed-stopped"));
+
+  // One name, one kind: no name sits in two sections, and no fact is
+  // exported a second time under a process-wide alias.
+  std::multiset<std::string> Names;
+  for (const char *Section : {"counters", "gauges", "histograms"}) {
+    const JsonValue *Metrics = Parsed->find(Section);
+    ASSERT_NE(Metrics, nullptr) << Section;
+    for (const auto &[Name, Value] : Metrics->asObject()) {
+      Names.insert(Name);
+      EXPECT_NE(Name.rfind("process.service.", 0), 0u) << Name;
+      EXPECT_NE(Name.rfind("process.repository.shard-", 0), 0u) << Name;
+    }
+  }
+  for (const std::string &Name : Names)
+    EXPECT_EQ(Names.count(Name), 1u) << Name;
+
+  // One description per metric.
+  std::istringstream Prom(Service.telemetryPrometheus());
+  std::multiset<std::string> Helped;
+  for (std::string Line; std::getline(Prom, Line);)
+    if (Line.rfind("# HELP ", 0) == 0)
+      Helped.insert(Line.substr(7, Line.find(' ', 7) - 7));
+  EXPECT_EQ(Helped.size(), Names.size());
+  for (const std::string &Name : Helped)
+    EXPECT_EQ(Helped.count(Name), 1u) << Name;
+}
+
 #ifdef COGENT_CHAOS_ENABLED
 TEST(ServiceTimelines, ChaosStormKeepsEveryTimelineComplete) {
   for (uint64_t Seed : {1ull, 7ull, 23ull}) {

@@ -68,7 +68,7 @@ TEST(PlanVerifier, AcceptsEveryEmittedSuiteKernel) {
     ErrorOr<core::GenerationResult> Result =
         Generator.generate(Entry.contractionScaled(24), Options);
     ASSERT_TRUE(Result.hasValue()) << Entry.Name;
-    EXPECT_EQ(Result->VerifierRejections, 0u) << Entry.Name;
+    EXPECT_EQ(Result->verifierRejections(), 0u) << Entry.Name;
     EXPECT_EQ(Result->Fallback, FallbackLevel::None) << Entry.Name;
     const Contraction PlanTC = Entry.contractionScaled(24);
     for (const core::GeneratedKernel &Kernel : Result->Kernels) {

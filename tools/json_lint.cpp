@@ -15,7 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/JsonWriter.h"
+#include "support/JsonValue.h"
 
 #include <cstdio>
 #include <string>
