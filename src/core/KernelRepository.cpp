@@ -29,10 +29,7 @@ COGENT_COUNTER(NumCacheMisses, "repository.cache-misses",
 /// is a full cache miss, never a best-effort parse of an older layout.
 static const char *const RepoMagic = "COGENTREPO v2";
 
-/// FNV-1a over the entry payload; cheap, stable across platforms, and
-/// plenty to catch bit rot and truncation (this is integrity, not
-/// authentication).
-static uint64_t fnv1a(const std::string &Data) {
+uint64_t cogent::core::fnv1a(const std::string &Data) {
   uint64_t Hash = 0xcbf29ce484222325ull;
   for (unsigned char Ch : Data) {
     Hash ^= Ch;

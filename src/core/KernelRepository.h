@@ -94,6 +94,11 @@ private:
   std::vector<KernelVersion> Versions;
 };
 
+/// 64-bit FNV-1a over \p Data: cheap and stable across platforms. It keys
+/// the cache shards, checksums on-disk entries and digests emitted sources
+/// for the golden selection table (integrity, not authentication).
+uint64_t fnv1a(const std::string &Data);
+
 /// Canonical cache key for one generation request: the spec, the
 /// representative extents in input order and the element size. The device
 /// is fixed per generator (one ShardedKernelRepository serves one Cogent),

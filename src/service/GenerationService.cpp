@@ -37,15 +37,6 @@ static uint64_t mix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
-static uint64_t fnv1a(const std::string &Data) {
-  uint64_t Hash = 0xcbf29ce484222325ull;
-  for (unsigned char Ch : Data) {
-    Hash ^= Ch;
-    Hash *= 0x100000001b3ull;
-  }
-  return Hash;
-}
-
 namespace cogent {
 namespace service {
 
@@ -396,7 +387,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
     // transient infrastructure trouble a retry can out-wait.
     if (Gen.Chaos.enabled() && Options.ReseedChaosPerAttempt)
       Gen.Chaos.Seed =
-          mix64(Gen.Chaos.Seed ^ mix64(fnv1a(Signature) + Attempt));
+          mix64(Gen.Chaos.Seed ^ mix64(core::fnv1a(Signature) + Attempt));
 
     // Arm this worker thread's injector for the whole attempt, so chaos
     // sites outside generate() — the cache's hit-path corruption check —
