@@ -841,6 +841,57 @@ private:
 // Model helpers
 //===----------------------------------------------------------------------===//
 
+bool cogent::analysis::isScalarStmt(const Stmt &S) {
+  return S.Kind == StmtKind::Decl || S.Kind == StmtKind::Assign ||
+         S.Kind == StmtKind::CompoundMul || S.Kind == StmtKind::CompoundDiv;
+}
+
+bool cogent::analysis::execScalar(const Stmt &S, Env &E) {
+  std::optional<int64_t> V = evalExpr(S.Value, E);
+  if (!V)
+    return false;
+  switch (S.Kind) {
+  case StmtKind::Decl:
+  case StmtKind::Assign:
+    E[S.Name] = *V;
+    return true;
+  case StmtKind::CompoundMul: {
+    auto It = E.find(S.Name);
+    if (It == E.end())
+      return false;
+    It->second *= *V;
+    return true;
+  }
+  case StmtKind::CompoundDiv: {
+    auto It = E.find(S.Name);
+    if (It == E.end() || *V == 0)
+      return false;
+    It->second /= *V;
+    return true;
+  }
+  default:
+    return false;
+  }
+}
+
+void cogent::analysis::forEachStmt(
+    const std::vector<Stmt> &Body,
+    const std::function<void(const Stmt &)> &Fn) {
+  for (const Stmt &S : Body) {
+    Fn(S);
+    if (!S.Body.empty())
+      forEachStmt(S.Body, Fn);
+  }
+}
+
+void cogent::analysis::forEachIndexExpr(
+    const Expr &E, const std::function<void(const Expr &)> &Fn) {
+  if (E.Kind == ExprKind::Index)
+    Fn(E);
+  for (const Expr &Kid : E.Kids)
+    forEachIndexExpr(Kid, Fn);
+}
+
 const Stmt *KernelModel::findLoop(const std::vector<Stmt> &In,
                                   const std::string &Var) {
   for (const Stmt &S : In) {

@@ -28,6 +28,7 @@
 #include "support/Diagnostics.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -147,6 +148,23 @@ struct Stmt {
   Expr LoopStep;            ///< Loop increment amount (1 for ++var).
   std::vector<Stmt> Body;   ///< Loop/If/Block children.
 };
+
+/// True for the scalar statements: Decl, Assign, CompoundMul, CompoundDiv.
+bool isScalarStmt(const Stmt &S);
+
+/// Executes one scalar statement into \p E. Returns false when \p S is not
+/// a scalar statement or its RHS does not evaluate under \p E (a
+/// per-thread value at this scope).
+bool execScalar(const Stmt &S, Env &E);
+
+/// Calls \p Fn on every statement of \p Body in pre-order, descending into
+/// loop, guard and block bodies.
+void forEachStmt(const std::vector<Stmt> &Body,
+                 const std::function<void(const Stmt &)> &Fn);
+
+/// Calls \p Fn on every Index node of \p E in pre-order.
+void forEachIndexExpr(const Expr &E,
+                      const std::function<void(const Expr &)> &Fn);
 
 /// A parse problem the Structure pass reports verbatim.
 struct ParseIssue {
