@@ -24,8 +24,6 @@ COGENT_COUNTER(NumDataflowBuilds, "dataflow.kernels-analyzed",
                "Kernel models run through the dataflow solvers");
 COGENT_COUNTER(NumDeadDefsFound, "dataflow.dead-stores",
                "Dead definitions detected across all dataflow runs");
-COGENT_COUNTER(NumRedundantBarriersFound, "dataflow.redundant-barriers",
-               "Redundant barriers detected across all dataflow runs");
 
 /// Thread/block builtins of both dialects: implicitly defined at entry.
 constexpr const char *Builtins[] = {
@@ -463,196 +461,27 @@ void solveReachingDefs(DataflowInfo &Info) {
 }
 
 //===----------------------------------------------------------------------===//
-// Barrier replay and SMEM lifetimes over the unrolled execution trace
+// SMEM lifetimes
 //===----------------------------------------------------------------------===//
 
-struct TraceEvent {
-  enum Kind { Write, Read, Barrier } K;
-  unsigned Loc = 0; ///< Shared-array location for Write/Read.
-  unsigned Line = 0;
-};
-
-struct TraceBuilder {
-  const DataflowInfo &Info;
-  const std::unordered_map<std::string, unsigned> &LocIndex;
-  std::vector<TraceEvent> Trace;
-
-  bool sharedLoc(const std::string &Name, unsigned &Loc) const {
-    auto It = LocIndex.find(Name);
-    if (It == LocIndex.end() ||
-        Info.Locations[It->second].Space != LocSpace::SharedArray)
-      return false;
-    Loc = It->second;
-    return true;
-  }
-
-  void readsInExpr(const Expr &E, unsigned Line,
-                   std::vector<TraceEvent> &Out) const {
-    unsigned Loc = 0;
-    if (E.Kind == ExprKind::Index && sharedLoc(E.Name, Loc))
-      Out.push_back({TraceEvent::Read, Loc, Line});
-    for (const Expr &Kid : E.Kids)
-      readsInExpr(Kid, Line, Out);
-  }
-
-  void walk(const std::vector<Stmt> &Body, std::vector<TraceEvent> &Out) {
-    for (const Stmt &S : Body) {
-      switch (S.Kind) {
-      case StmtKind::Decl:
-      case StmtKind::Assign:
-      case StmtKind::CompoundMul:
-      case StmtKind::CompoundDiv:
-        readsInExpr(S.Value, S.Line, Out);
-        break;
-      case StmtKind::ArrayStore: {
-        readsInExpr(S.Index, S.Line, Out);
-        readsInExpr(S.Value, S.Line, Out);
-        unsigned Loc = 0;
-        if (sharedLoc(S.Name, Loc)) {
-          if (S.Accumulate)
-            Out.push_back({TraceEvent::Read, Loc, S.Line});
-          Out.push_back({TraceEvent::Write, Loc, S.Line});
-        }
-        break;
-      }
-      case StmtKind::Barrier:
-        Out.push_back({TraceEvent::Barrier, 0, S.Line});
-        break;
-      case StmtKind::If:
-        readsInExpr(S.Value, S.Line, Out);
-        walk(S.Body, Out);
-        break;
-      case StmtKind::Loop: {
-        // Two-iteration unrolling exposes loop-carried hazards (the
-        // next iteration's staging writes against this iteration's
-        // compute reads).
-        std::vector<TraceEvent> BodyTrace;
-        walk(S.Body, BodyTrace);
-        Out.insert(Out.end(), BodyTrace.begin(), BodyTrace.end());
-        Out.insert(Out.end(), BodyTrace.begin(), BodyTrace.end());
-        break;
-      }
-      case StmtKind::Block:
-        walk(S.Body, Out);
-        break;
-      case StmtKind::ArrayDecl:
-        break;
-      }
-    }
-  }
-};
-
-/// Greedy left-to-right replay: pending accesses accumulate since the
-/// last *kept* barrier; an occurrence is needed iff some pending access
-/// hazards with an access before the next barrier. A barrier statement
-/// is redundant only when every one of its trace occurrences is.
-/// Counts hazard events in \p Trace: accesses that conflict (write-write,
-/// write-read or read-write on the same buffer) with a pending access not
-/// yet separated by a barrier. Barriers whose source line is \p SkipLine
-/// are treated as absent. Skipping a barrier only merges segments, so the
-/// count is monotone: it can never decrease.
-unsigned countTraceHazards(const std::vector<TraceEvent> &Trace,
-                           size_t NumLocations, unsigned SkipLine) {
-  std::vector<bool> PendW(NumLocations, false), PendR(NumLocations, false);
-  unsigned Hazards = 0;
-  for (const TraceEvent &E : Trace) {
-    if (E.K == TraceEvent::Barrier) {
-      if (E.Line != SkipLine) {
-        PendW.assign(NumLocations, false);
-        PendR.assign(NumLocations, false);
-      }
-      continue;
-    }
-    if (E.K == TraceEvent::Write) {
-      Hazards += PendW[E.Loc] || PendR[E.Loc];
-      PendW[E.Loc] = true;
-    } else {
-      Hazards += PendW[E.Loc];
-      PendR[E.Loc] = true;
-    }
-  }
-  return Hazards;
-}
-
-/// Removal-based redundancy: a barrier line is redundant iff deleting all
-/// its occurrences introduces no hazard the remaining barriers fail to
-/// order. This is stronger than crediting each hazard to one barrier by
-/// position — a barrier wedged between two already-ordered phases (say,
-/// injected before the store phase) orders a real dependence only
-/// *redundantly* with its neighbors, and this is exactly the drift the
-/// pass exists to flag.
-void replayBarriers(const std::vector<TraceEvent> &Trace,
-                    DataflowInfo &Info) {
-  std::set<unsigned> Lines;
-  for (const TraceEvent &E : Trace)
-    if (E.K == TraceEvent::Barrier)
-      Lines.insert(E.Line);
-  if (Lines.empty())
-    return;
-
-  // Baseline may contain intra-phase conflicts from the array-granular
-  // abstraction (the unrolled staging loop writes one buffer repeatedly);
-  // those occur identically with or without any barrier removed, so only
-  // the delta matters.
-  unsigned Baseline = countTraceHazards(Trace, Info.Locations.size(), 0);
-  for (unsigned Line : Lines) {
-    bool Redundant =
-        countTraceHazards(Trace, Info.Locations.size(), Line) == Baseline;
-    Info.Barriers.push_back({Line, Redundant});
-  }
-}
-
-void computeSmemLifetimes(const std::vector<TraceEvent> &Trace,
-                          bool TraceValid, DataflowInfo &Info) {
-  struct Range {
-    size_t FirstWrite = SIZE_MAX;
-    size_t LastRead = 0;
-    bool Written = false, Read = false;
-  };
-  std::map<unsigned, Range> Ranges;
+/// Written/read flags per shared buffer, from the CFG events.
+void computeSmemLifetimes(DataflowInfo &Info) {
+  std::map<unsigned, SmemBufferLifetime> Lifetimes;
   for (unsigned L = 0; L < Info.Locations.size(); ++L)
     if (Info.Locations[L].Space == LocSpace::SharedArray)
-      Ranges[L];
-
-  // Written/Read flags come from the CFG events (always available).
+      Lifetimes[L].Loc = L;
   for (const BasicBlock &B : Info.Blocks)
     for (const Access &E : B.Events) {
-      auto It = Ranges.find(E.Loc);
-      if (It == Ranges.end())
+      auto It = Lifetimes.find(E.Loc);
+      if (It == Lifetimes.end())
         continue;
       if (E.Kind == AccessKind::Use)
         It->second.Read = true;
       else if (E.Kind == AccessKind::MayDef)
         It->second.Written = true;
     }
-
-  if (TraceValid)
-    for (size_t I = 0; I < Trace.size(); ++I) {
-      const TraceEvent &E = Trace[I];
-      auto It = Ranges.find(E.Loc);
-      if (E.K == TraceEvent::Barrier || It == Ranges.end())
-        continue;
-      if (E.K == TraceEvent::Write)
-        It->second.FirstWrite = std::min(It->second.FirstWrite, I);
-      else
-        It->second.LastRead = std::max(It->second.LastRead, I);
-    }
-
-  for (const auto &[Loc, R] : Ranges)
-    Info.SmemLifetimes.push_back({Loc, R.Written, R.Read});
-
-  // Two fully-used buffers whose trace ranges never interleave could
-  // share one allocation.
-  if (!TraceValid)
-    return;
-  for (auto A = Ranges.begin(); A != Ranges.end(); ++A)
-    for (auto B = std::next(A); B != Ranges.end(); ++B) {
-      const Range &RA = A->second, &RB = B->second;
-      if (!(RA.Written && RA.Read && RB.Written && RB.Read))
-        continue;
-      if (RA.LastRead < RB.FirstWrite || RB.LastRead < RA.FirstWrite)
-        Info.DisjointSmemStaging = true;
-    }
+  for (const auto &[Loc, L] : Lifetimes)
+    Info.SmemLifetimes.push_back(L);
 }
 
 } // namespace
@@ -703,21 +532,10 @@ cogent::analysis::buildDataflow(const KernelModel &M) {
   walkLiveness(Info);
   solveReachingDefs(Info);
 
-  // Barrier replay and lifetime ranges need a linear execution trace;
-  // double-buffered kernels interleave phases through the buf toggle,
-  // which the replay does not model — stay conservatively silent there.
-  bool TraceValid = !M.DoubleBuffer && !M.SharedDecls.empty();
-  TraceBuilder TB{Info, Builder.LocIndex, {}};
-  if (TraceValid)
-    TB.walk(M.Body, TB.Trace);
-  if (TraceValid)
-    replayBarriers(TB.Trace, Info);
-  computeSmemLifetimes(TB.Trace, TraceValid, Info);
+  computeSmemLifetimes(Info);
 
   for (const DefInfo &D : Info.Defs)
     NumDeadDefsFound += D.Dead;
-  for (const BarrierVerdict &B : Info.Barriers)
-    NumRedundantBarriersFound += B.Redundant;
   return Info;
 }
 
@@ -753,16 +571,6 @@ std::string cogent::analysis::explainDataflow(const KernelModel &M,
     OS << "    " << Info.Locations[L.Loc].Name
        << (L.Written ? " written" : " never-written")
        << (L.Read ? " read" : " never-read") << "\n";
-  if (Info.DisjointSmemStaging)
-    OS << "    note: staging buffers have disjoint live ranges "
-          "(storage could be shared)\n";
-
-  OS << "\n  barriers:\n";
-  if (Info.Barriers.empty())
-    OS << "    (none analyzed)\n";
-  for (const BarrierVerdict &B : Info.Barriers)
-    OS << "    line " << B.Line << ": "
-       << (B.Redundant ? "redundant" : "required") << "\n";
 
   unsigned Dead = 0;
   for (const DefInfo &D : Info.Defs)

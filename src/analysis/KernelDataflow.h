@@ -8,8 +8,9 @@
 /// KernelDataflow: a classic dataflow framework over the KernelModel
 /// statement tree of one emitted kernel. Where KernelLint's original
 /// passes check *shape* (strides, guards, declarations), this layer
-/// recovers *flow*: which values are live where, which definitions reach
-/// which uses, and which synchronization actually orders anything.
+/// recovers *flow*: which values are live where and which definitions
+/// reach which uses. Which barrier orders anything is an address question
+/// and belongs to KernelRaceProver, which also reuses this location table.
 ///
 /// CFG shape. Basic blocks are built by a single walk of the statement
 /// tree. Three constructs end a block:
@@ -27,21 +28,19 @@
 /// because other elements survive), and global arrays (MayDef and
 /// exit-live, so output stores are never dead). The two solvers are
 /// standard bitvector fixpoints:
-///   - backward may-liveness over locations (drives dead-store detection,
-///     the register-pressure walk and the SMEM lifetime ranges),
+///   - backward may-liveness over locations (drives dead-store detection
+///     and the register-pressure walk),
 ///   - forward reaching definitions over definition sites (drives the
 ///     def-use chains and use-without-definition detection).
 /// #defines, extent parameters, kernel pointer parameters and the thread
 /// builtins of both dialects are implicit entry definitions.
 ///
-/// The four consumers (surfaced as KernelLint passes) are:
+/// The three consumers (surfaced as KernelLint passes) are:
 ///   register pressure — peak simultaneous live scalar width plus the
 ///     declared register tiles, to compare against the plan and budget;
-///   redundant barriers — a greedy replay over a two-iteration loop
-///     unrolling that keeps a barrier only when a pending SMEM access
-///     hazards with an access before the next barrier;
 ///   dead stores — definitions never observed by any reachable use;
-///   SMEM lifetime — written/read/co-liveness per staging buffer.
+///   SMEM lifetime — written/read flags per staging buffer (the race
+///     prover adds whether two buffers' barrier intervals overlap).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -131,14 +130,6 @@ struct UndefinedUse {
   unsigned Line = 0;
 };
 
-/// Verdict for one barrier statement (keyed by source line).
-struct BarrierVerdict {
-  unsigned Line = 0;
-  /// True when no trace occurrence of this barrier separates a pending
-  /// SMEM access from a hazarding one: the barrier orders nothing.
-  bool Redundant = false;
-};
-
 /// Lifetime summary for one shared staging buffer.
 struct SmemBufferLifetime {
   unsigned Loc = 0;
@@ -152,7 +143,6 @@ struct DataflowInfo {
   std::vector<BasicBlock> Blocks; ///< Blocks[0] is the entry block.
   std::vector<DefInfo> Defs;
   std::vector<UndefinedUse> UndefinedUses;
-  std::vector<BarrierVerdict> Barriers;
   std::vector<SmemBufferLifetime> SmemLifetimes;
 
   /// Per-block liveness fixpoint, one bit per location.
@@ -165,11 +155,6 @@ struct DataflowInfo {
   /// element width).
   unsigned RegisterArrayRegs = 0;
 
-  /// True when at least two shared buffers are each written and read
-  /// yet never simultaneously live — the staging allocations could
-  /// share storage.
-  bool DisjointSmemStaging = false;
-
   /// Total register-pressure estimate per thread.
   unsigned pressure() const { return RegisterArrayRegs + MaxLiveScalarRegs; }
 
@@ -180,7 +165,7 @@ struct DataflowInfo {
   unsigned useCount(unsigned Loc) const;
 };
 
-/// Builds the CFG over \p M and runs both solvers plus the four derived
+/// Builds the CFG over \p M and runs both solvers plus the derived
 /// analyses. Fails (VerificationFailed) only when the model is
 /// structurally unusable — callers that hold a parsed model never see
 /// that in practice.

@@ -24,12 +24,14 @@
 ///   RegisterPressure — KernelDataflow's per-thread liveness-derived
 ///     register estimate must stay within PressureToleranceRegs of the
 ///     plan's analytic estimate and the device budget.
-///   RedundantBarrier — every __syncthreads() must order at least one
-///     cross-thread SMEM dependence (trace replay over KernelDataflow).
+///   RedundantBarrier — every __syncthreads() must separate at least one
+///     pair of accesses to one shared buffer, at least one a write
+///     (KernelRaceProver's barrier intervals).
 ///   DeadStore        — no scalar may be written and never read, or read
 ///     before any definition; no register tile may be staged yet unread.
-///   SmemLifetime     — staging buffers must be both written and read;
-///     disjoint A/B live ranges are surfaced as a reuse note.
+///   SmemLifetime     — staging buffers must be both written and read
+///     (KernelDataflow); buffers whose barrier intervals never overlap
+///     (KernelRaceProver) are surfaced as a reuse note.
 ///   Uniformity       — taint classes: tile bases, trip counts and stride
 ///     variables must be thread-uniform (KernelRaceProver).
 ///   RaceFreedom      — symbolic two-thread proof that no same-interval

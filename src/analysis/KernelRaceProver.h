@@ -12,7 +12,7 @@
 /// barrier interval can touch the same element — or produces a concrete
 /// witness (thread pair + coordinate vector + address) when they can.
 ///
-/// Three analyses share the machinery:
+/// Four analyses share the machinery:
 ///
 ///   Uniformity (taint). Every scalar location is classified Uniform
 ///     (provably identical across the threads of a block), ThreadDependent
@@ -47,8 +47,16 @@
 ///     a finding (a divergent barrier deadlocks devices without
 ///     independent thread scheduling and synchronizes nothing).
 ///
-/// KernelLint surfaces the three analyses as passes 10-12 (uniformity,
-/// race-freedom, barrier-uniformity); explainRaces() renders the full
+///   Barrier redundancy and staging overlap. The same interval numbering
+///     decides which barriers order anything: a barrier line is redundant
+///     when merging the intervals its occurrences separate brings no new
+///     pair of accesses to one shared buffer, at least one a write, into
+///     one interval. Two written-and-read staging buffers are disjoint
+///     when one's last read interval precedes the other's first write.
+///
+/// KernelLint surfaces the first three analyses as passes 10-12
+/// (uniformity, race-freedom, barrier-uniformity) and feeds the fourth to
+/// redundant-barrier and smem-lifetime; explainRaces() renders the full
 /// derivation for cogent_cli --explain-races.
 ///
 //===----------------------------------------------------------------------===//
@@ -196,10 +204,25 @@ struct RaceProverOptions {
   uint64_t EnumerationCap = 1u << 20;
 };
 
+/// Verdict for one barrier statement (keyed by source line).
+struct BarrierVerdict {
+  unsigned Line = 0;
+  /// True when merging the barrier intervals its occurrences separate puts
+  /// no new pair of same-buffer shared-memory accesses, at least one a
+  /// write, into one interval: the barrier orders nothing.
+  bool Redundant = false;
+};
+
 /// Everything one prover run computed.
 struct RaceReport {
   std::vector<RaceFinding> Findings;
   UniformityInfo Uniform;
+  /// One verdict per barrier source line, in line order.
+  std::vector<BarrierVerdict> Barriers;
+  /// True when two shared buffers, each written and read, never share a
+  /// barrier interval: one's last read interval precedes the other's
+  /// first write interval, so the allocations could share storage.
+  bool DisjointSmemStaging = false;
 
   // Solver statistics (rendered by explainRaces, asserted by tests).
   unsigned Intervals = 0;          ///< Barrier intervals analyzed.

@@ -8,19 +8,20 @@
 /// The KernelDataflow contract, from both directions:
 ///
 ///   - golden def-use/liveness fixtures over hand-written mini-kernels
-///     (loop-carried definitions, guarded writes, barrier-separated
-///     regions, disjoint staging buffers) pin the CFG shape and solver
-///     verdicts to known-correct answers;
+///     (loop-carried definitions, guarded writes, shadowed scalars) pin
+///     the CFG shape and solver verdicts to known-correct answers;
 ///   - every kernel the pipeline emits for the TCCG suite is dataflow-clean
-///     on both device models — no dead stores, no undefined uses, no
-///     redundant barriers — and its liveness-derived register pressure
-///     agrees with planRegisterPressure within PressureToleranceRegs;
+///     on both device models — no dead stores, no undefined uses, and (by
+///     the race prover's barrier intervals) no redundant barriers — and
+///     its liveness-derived register pressure agrees with
+///     planRegisterPressure within PressureToleranceRegs;
 ///   - enabling pressure-aware ranking never selects a plan the
 ///     PlanVerifier rejects.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/KernelDataflow.h"
+#include "analysis/KernelRaceProver.h"
 #include "core/Cogent.h"
 #include "core/CostModel.h"
 #include "core/KernelPlan.h"
@@ -63,14 +64,6 @@ std::string renderDeadDefs(const DataflowInfo &Flow) {
       Out += Flow.Locations[D.Loc].Name + " at line " +
              std::to_string(D.Line) + "\n";
   return Out.empty() ? "<none>" : Out;
-}
-
-bool barrierRedundant(const DataflowInfo &Flow, unsigned Line) {
-  for (const analysis::BarrierVerdict &V : Flow.Barriers)
-    if (V.Line == Line)
-      return V.Redundant;
-  ADD_FAILURE() << "no verdict for barrier line " << Line;
-  return false;
 }
 
 /// 1-based line of the first occurrence of \p Needle in \p Source.
@@ -150,30 +143,6 @@ TEST(KernelDataflow, GuardedWriteMergesWithFallThrough) {
   EXPECT_EQ(Reaching, 2u);
 }
 
-TEST(KernelDataflow, BarrierSeparatedRegionsGetPerBarrierVerdicts) {
-  const std::string Source = R"(__global__ void k(const double *g_A, double *g_C, const long long N_a) {
-  __shared__ double s_T[32];
-  int tid = threadIdx.x;
-  s_T[tid] = g_A[tid];
-  __syncthreads();
-  g_C[tid] = s_T[tid];
-  __syncthreads();
-}
-)";
-  DataflowInfo Flow = analyze(Source);
-  ASSERT_EQ(Flow.Barriers.size(), 2u);
-  // The first barrier orders the staging write against the cross-thread
-  // read; the trailing barrier orders nothing.
-  unsigned First = lineOf(Source, "__syncthreads");
-  EXPECT_FALSE(barrierRedundant(Flow, First));
-  EXPECT_TRUE(barrierRedundant(Flow, First + 2));
-
-  ASSERT_EQ(Flow.SmemLifetimes.size(), 1u);
-  EXPECT_TRUE(Flow.SmemLifetimes[0].Written);
-  EXPECT_TRUE(Flow.SmemLifetimes[0].Read);
-  EXPECT_FALSE(Flow.DisjointSmemStaging);
-}
-
 TEST(KernelDataflow, DeadAndShadowedScalarsAreFlagged) {
   const std::string Source = R"(__global__ void k(const double *g_A, double *g_C, const long long N_a) {
   int tid = threadIdx.x;
@@ -202,31 +171,6 @@ TEST(KernelDataflow, DeadAndShadowedScalarsAreFlagged) {
   }
 }
 
-TEST(KernelDataflow, DisjointStagingBuffersAreReported) {
-  const std::string Source = R"(__global__ void k(const double *g_A, double *g_C, const long long N_a) {
-  __shared__ double s_A[16];
-  __shared__ double s_B[16];
-  int tid = threadIdx.x;
-  s_A[tid] = g_A[tid];
-  __syncthreads();
-  g_C[tid] = s_A[tid];
-  __syncthreads();
-  s_B[tid] = g_A[tid];
-  __syncthreads();
-  g_C[tid] = s_B[tid];
-}
-)";
-  DataflowInfo Flow = analyze(Source);
-  ASSERT_EQ(Flow.SmemLifetimes.size(), 2u);
-  for (const analysis::SmemBufferLifetime &L : Flow.SmemLifetimes) {
-    EXPECT_TRUE(L.Written) << Flow.Locations[L.Loc].Name;
-    EXPECT_TRUE(L.Read) << Flow.Locations[L.Loc].Name;
-  }
-  // s_A's last read precedes s_B's first write: the buffers could share
-  // storage.
-  EXPECT_TRUE(Flow.DisjointSmemStaging);
-}
-
 TEST(KernelDataflow, ExplainRendersTheAnalysis) {
   const std::string Source = R"(__global__ void k(const double *g_A, double *g_C, const long long N_a) {
   __shared__ double s_T[32];
@@ -243,8 +187,9 @@ TEST(KernelDataflow, ExplainRendersTheAnalysis) {
   std::string Text = analysis::explainDataflow(*Model, *Flow);
   EXPECT_NE(Text.find("CFG"), std::string::npos);
   EXPECT_NE(Text.find("register pressure"), std::string::npos);
-  EXPECT_NE(Text.find("s_T"), std::string::npos);
-  EXPECT_NE(Text.find("barriers"), std::string::npos);
+  EXPECT_NE(Text.find("s_T written read"), std::string::npos) << Text;
+  // Barrier verdicts belong to explainRaces now.
+  EXPECT_EQ(Text.find("barriers:"), std::string::npos) << Text;
 }
 
 //===----------------------------------------------------------------------===//
@@ -271,18 +216,20 @@ TEST(KernelDataflow, SeedSuiteIsDataflowCleanOnBothDevices) {
           << renderDeadDefs(*Flow);
       EXPECT_TRUE(Flow->UndefinedUses.empty())
           << Entry.Name << " on " << Device.Name;
-      for (const analysis::BarrierVerdict &V : Flow->Barriers)
+
+      const Contraction &PlanTC =
+          Result->Fallback == core::FallbackLevel::TtgtBaseline
+              ? *Result->FallbackContraction
+              : TC;
+      core::KernelPlan Plan(PlanTC, Kernel.Config);
+      for (const analysis::BarrierVerdict &V :
+           analysis::proveRaces(Plan, *Model, *Flow).Barriers)
         EXPECT_FALSE(V.Redundant)
             << Entry.Name << " on " << Device.Name << " barrier line "
             << V.Line;
 
       // The source-side pressure estimate tracks the plan-side analytic
       // one within the documented tolerance across the whole suite.
-      const Contraction &PlanTC =
-          Result->Fallback == core::FallbackLevel::TtgtBaseline
-              ? *Result->FallbackContraction
-              : TC;
-      core::KernelPlan Plan(PlanTC, Kernel.Config);
       unsigned PlanEstimate = core::planRegisterPressure(Plan, 8);
       unsigned SourceEstimate = Flow->pressure();
       unsigned Delta = PlanEstimate > SourceEstimate
