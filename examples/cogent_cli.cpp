@@ -32,15 +32,22 @@
 /// --quiet suppresses the stderr report and the stdout source dump so
 /// scripted runs produce only the requested files (errors still print).
 ///
+/// --opencl and --double-buffer re-emit the winning plan in that dialect
+/// or pipeline. The re-emitted source passes the same gate as generate()'s
+/// own (verifySource, then lint in the --lint mode) before it is printed;
+/// a strict-mode error prints the findings and exits 1. The --explain-*
+/// flags below always describe the printed source.
+///
 /// --lint selects the post-emit KernelLint gate mode (strict by default:
 /// sources with error findings are rejected and re-emitted/demoted);
-/// --explain-lint dumps the analyzer's view of the winning kernel — the
+/// --explain-lint dumps the analyzer's view of the printed kernel — the
 /// parsed resource table, staging strides, barrier structure and any
-/// findings — to stderr.
+/// findings — to stderr. --explain-races dumps the race prover's
+/// derivation, including a required/redundant verdict per barrier line.
 ///
-/// --explain-dataflow dumps KernelDataflow's view of the winning kernel —
-/// the CFG, per-location liveness, register-pressure table, staging-buffer
-/// lifetimes and barrier verdicts — to stderr. --pressure-ranking makes
+/// --explain-dataflow dumps KernelDataflow's view of the printed kernel —
+/// the CFG, register-pressure table, staging-buffer lifetimes and def-use
+/// summary — to stderr. --pressure-ranking makes
 /// the search rank candidates by the refined liveness-backed register
 /// estimate's occupancy instead of the flat per-config one (the estimates
 /// are reported in --metrics either way).
@@ -92,6 +99,7 @@
 #include "service/GenerationService.h"
 #include "support/JsonWriter.h"
 #include "support/Trace.h"
+#include "verify/PlanVerifier.h"
 
 #include <atomic>
 #include <charconv>
@@ -579,31 +587,61 @@ int main(int Argc, char **Argv) {
       Result->Fallback == core::FallbackLevel::TtgtBaseline
           ? *Result->FallbackContraction
           : *TC;
+  core::KernelPlan Plan(PlanTC, Result->best().Config);
+  analysis::LintOptions LintOpts = Options.Lint;
+  LintOpts.ElementSize = Options.ElementSize;
+  LintOpts.TransactionBytes = Device.TransactionBytes;
+  LintOpts.RegisterBudget = Device.MaxRegistersPerThread;
+  // The printed source, and the one every --explain-* flag describes.
+  core::GeneratedSource Printed = Result->best().Source;
+  if (UseOpenCl || UseDoubleBuffer) {
+    // Re-emit the winning plan in the requested dialect/pipeline and put
+    // the new source through the gate generate() applies to its own:
+    // verifySource, then lint in the configured mode.
+    core::CodeGenOptions CG;
+    CG.ElementType = Options.ElementSize == 8 ? "double" : "float";
+    CG.DoubleBuffer = UseDoubleBuffer;
+    Printed = UseOpenCl ? core::emitOpenCl(Plan, CG) : core::emitCuda(Plan, CG);
+    ErrorOr<void> Check =
+        verify::PlanVerifier(Device, Options.ElementSize).verifySource(Printed);
+    if (!Check) {
+      std::fprintf(stderr, "error: %s\n",
+                   Check.error().renderWithCode().c_str());
+      return 1;
+    }
+    if (LintOpts.Mode != analysis::LintMode::Off) {
+      analysis::LintReport Report =
+          analysis::lintKernel(Plan, Printed.KernelSource, LintOpts);
+      bool Reject = LintOpts.Mode == analysis::LintMode::Strict &&
+                    Report.errorCount() > 0;
+      if (Reject || !Quiet)
+        for (const analysis::LintFinding &Finding : Report.Findings)
+          std::fprintf(stderr, "# lint: %s\n", Finding.render().c_str());
+      if (Reject) {
+        Error Rejected(ErrorCode::VerificationFailed,
+                       "re-emitted kernel failed the strict lint gate with " +
+                           std::to_string(Report.errorCount()) +
+                           " error(s)");
+        std::fprintf(stderr, "error: %s\n", Rejected.renderWithCode().c_str());
+        return 1;
+      }
+    }
+  }
   if (Explain && !Quiet)
     std::fprintf(stderr, "%s\n",
                  core::explainKernel(PlanTC, Result->best(), Device,
                                      Options.ElementSize)
                      .c_str());
-  if (ExplainLint && !Quiet) {
-    core::KernelPlan Plan(PlanTC, Result->best().Config);
-    analysis::LintOptions LintOpts = Options.Lint;
-    LintOpts.ElementSize = Options.ElementSize;
-    LintOpts.TransactionBytes = Device.TransactionBytes;
-    std::fprintf(stderr, "%s\n",
-                 analysis::explainLint(
-                     Plan, Result->best().Source.KernelSource, LintOpts)
-                     .c_str());
-  }
-  if (ExplainRaces && !Quiet) {
-    core::KernelPlan Plan(PlanTC, Result->best().Config);
+  if (ExplainLint && !Quiet)
     std::fprintf(
         stderr, "%s\n",
-        analysis::explainRaces(Plan, Result->best().Source.KernelSource)
-            .c_str());
-  }
+        analysis::explainLint(Plan, Printed.KernelSource, LintOpts).c_str());
+  if (ExplainRaces && !Quiet)
+    std::fprintf(stderr, "%s\n",
+                 analysis::explainRaces(Plan, Printed.KernelSource).c_str());
   if (ExplainDataflow && !Quiet) {
     ErrorOr<analysis::KernelModel> Model =
-        analysis::parseKernelSource(Result->best().Source.KernelSource);
+        analysis::parseKernelSource(Printed.KernelSource);
     if (!Model) {
       std::fprintf(stderr, "error: %s\n",
                    Model.error().renderWithCode().c_str());
@@ -618,21 +656,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "%s\n",
                  analysis::explainDataflow(*Model, *Flow).c_str());
   }
-  if (UseOpenCl || UseDoubleBuffer) {
-    // Re-emit the winning plan in the requested dialect/pipeline.
-    core::KernelPlan Plan(PlanTC, Result->best().Config);
-    core::CodeGenOptions CG;
-    CG.ElementType = Options.ElementSize == 8 ? "double" : "float";
-    CG.DoubleBuffer = UseDoubleBuffer;
-    core::GeneratedSource Source =
-        UseOpenCl ? core::emitOpenCl(Plan, CG) : core::emitCuda(Plan, CG);
-    if (!Quiet)
-      std::printf("%s\n%s", Source.KernelSource.c_str(),
-                  Source.DriverSource.c_str());
-    return 0;
-  }
   if (!Quiet)
-    std::printf("%s\n%s", Result->best().Source.KernelSource.c_str(),
-                Result->best().Source.DriverSource.c_str());
+    std::printf("%s\n%s", Printed.KernelSource.c_str(),
+                Printed.DriverSource.c_str());
   return 0;
 }

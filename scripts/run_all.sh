@@ -119,6 +119,21 @@ build/examples/cogent_cli "ab-ac-cb" 512 --quiet \
   --trace=smoke_artifacts/trace.json --metrics=smoke_artifacts/metrics.json
 "$JSON_LINT" smoke_artifacts/trace.json smoke_artifacts/metrics.json
 
+# Barrier smoke: the double-buffered re-emission passes the lint gate and
+# its race-prover derivation lists at least one barrier required and none
+# redundant.
+build/examples/cogent_cli abcd-aebf-dfce 24 --double-buffer --explain-races \
+  > /dev/null 2> smoke_artifacts/double_buffer_races.txt
+if ! grep -q ': required$' smoke_artifacts/double_buffer_races.txt; then
+  echo "barrier smoke: no double-buffered barrier was judged required" >&2
+  exit 1
+fi
+if grep -q ': redundant$' smoke_artifacts/double_buffer_races.txt; then
+  echo "barrier smoke: a double-buffered barrier was judged redundant" >&2
+  exit 1
+fi
+echo "barrier smoke: double-buffered barriers all required"
+
 # Telemetry smoke: a batch run must produce a well-formed registry
 # snapshot (--telemetry-json) — counters, gauges, and the latency
 # histograms with their quantile summaries — validated with json_lint

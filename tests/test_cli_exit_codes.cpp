@@ -159,6 +159,42 @@ TEST(CliExitCodes, BatchRequestDeadlineStillCompletesBatch) {
   std::remove(Path.c_str());
 }
 
+TEST(CliExitCodes, ReEmittedKernelIsGatedAndExplained) {
+  // --double-buffer and --opencl print a re-emission of the winning plan.
+  // That source goes through verifySource and strict lint before it is
+  // printed (a clean re-emission exits 0 with no lint lines), and every
+  // --explain-* flag describes it rather than the single-buffered CUDA
+  // kernel generate() produced.
+  CliRun Double = runCli("abcd-aebf-dfce 24 --double-buffer --explain-lint "
+                         "--explain-races --explain-dataflow");
+  EXPECT_EQ(Double.ExitCode, 0) << Double.Output;
+  EXPECT_EQ(Double.Output.find("# lint:"), std::string::npos) << Double.Output;
+  EXPECT_NE(Double.Output.find("double-buffered)"), std::string::npos)
+      << Double.Output;
+  EXPECT_NE(Double.Output.find("findings: none"), std::string::npos)
+      << Double.Output;
+  EXPECT_NE(Double.Output.find("  buf: "), std::string::npos)
+      << Double.Output;
+  EXPECT_NE(Double.Output.find(": required"), std::string::npos)
+      << Double.Output;
+  EXPECT_EQ(Double.Output.find(": redundant"), std::string::npos)
+      << Double.Output;
+  EXPECT_NE(Double.Output.find("int buf = 0;"), std::string::npos)
+      << Double.Output;
+
+  CliRun OpenCl = runCli("abcd-aebf-dfce 24 --opencl --explain-lint");
+  EXPECT_EQ(OpenCl.ExitCode, 0) << OpenCl.Output;
+  EXPECT_NE(OpenCl.Output.find("(OpenCL dialect"), std::string::npos)
+      << OpenCl.Output;
+  EXPECT_NE(OpenCl.Output.find("findings: none"), std::string::npos)
+      << OpenCl.Output;
+
+  CliRun Single = runCli("abcd-aebf-dfce 24 --explain-lint");
+  EXPECT_EQ(Single.ExitCode, 0) << Single.Output;
+  EXPECT_NE(Single.Output.find("single-buffered)"), std::string::npos)
+      << Single.Output;
+}
+
 #ifdef COGENT_CHAOS_ENABLED
 
 TEST(CliExitCodes, RescuedVerifierFailureExitsZeroWithNotice) {
