@@ -64,7 +64,8 @@
 /// GenerationService (worker pool, sharded plan cache, deadline
 /// degradation, retry/circuit-breaker — docs/ARCHITECTURE.md §15) instead
 /// of a single inline generate(). Each non-comment line of FILE is one
-/// request: "<C-A-B spec> [uniform-extent]". --jobs N sets the worker
+/// request: "<C-A-B spec> [uniform-extent]"; a bad extent or a third token
+/// is that line's typed InvalidSpec failure. --jobs N sets the worker
 /// count (default 4), --request-deadline-ms M gives every request a
 /// wall-clock budget (deadline-pressured requests degrade to cheaper
 /// fallback rungs rather than failing). One summary line per request goes
@@ -200,17 +201,25 @@ static int runBatch(const std::string &BatchPath, const gpu::DeviceSpec &Device,
     if (!(LS >> Spec) || Spec[0] == '#')
       continue;
     int64_t Extent = 32;
-    std::string ExtentToken;
+    std::string ExtentToken, Extra;
     if (LS >> ExtentToken) {
       std::optional<int64_t> Parsed =
           parseNumber<int64_t>(ExtentToken, /*Positive=*/true);
+      // A malformed line is that request's typed failure, not the
+      // batch's: report it, count it, keep going.
       if (!Parsed) {
-        // A malformed line is that request's typed failure, not the
-        // batch's: report it, count it, keep going.
         std::fprintf(stderr, "error: line %u: %s: extent '%s' must be a "
                              "positive integer\n",
                      LineNo, errorCodeName(ErrorCode::InvalidSpec),
                      ExtentToken.c_str());
+        ++BadLines;
+        continue;
+      }
+      if (LS >> Extra) {
+        std::fprintf(stderr, "error: line %u: %s: unexpected token '%s' "
+                             "after the extent\n",
+                     LineNo, errorCodeName(ErrorCode::InvalidSpec),
+                     Extra.c_str());
         ++BadLines;
         continue;
       }

@@ -147,10 +147,10 @@ build/examples/cogent_cli --batch-file smoke_artifacts/telemetry_batch.txt \
   --jobs 2 --quiet --telemetry-json smoke_artifacts/telemetry.json
 "$JSON_LINT" smoke_artifacts/telemetry.json
 # One name per fact: the service and cache tallies are exported once
-# ("service.*", "cache.*"), never again under a process-wide alias.
-if grep -Eq '"process\.(service\.|repository\.shard-)' \
-    smoke_artifacts/telemetry.json; then
-  echo "telemetry smoke: service or cache tally exported twice" >&2
+# ("service.*", "cache.*"), and nothing under a process-wide "process."
+# name.
+if grep -q '"process\.' smoke_artifacts/telemetry.json; then
+  echo "telemetry smoke: a process-wide name was exported" >&2
   exit 1
 fi
 echo "telemetry smoke: snapshot validated"
@@ -241,40 +241,48 @@ if compgen -G "bench_artifacts/*.json" >/dev/null; then
   echo "aggregated $(ls bench_artifacts/*.json | wc -l) reports into bench_output.json"
 fi
 
-# Perf-regression gate: diff this run's bench_service report against the
-# checked-in BENCH_service.json BEFORE the refresh below overwrites it.
-# Schema validation always runs (structure + conservation law on both
-# reports); the throughput/latency comparison only runs on machines with
-# enough cores for the headline numbers to be meaningful — shared/small
-# CI boxes would flag phantom regressions. Tolerance is deliberately
-# loose (run-to-run variance on a simulator-backed service is real) and
-# overridable: COGENT_PERF_TOLERANCE is the allowed relative slip
-# (default 0.5 = 50%).
+# Perf-regression gate: perfbench (perfbench/README.md) runs each
+# BENCHMARK.json workload once — seed 1, end-to-end metrics only, for
+# BENCHMARK.json's run_seconds — and each result is checked against the
+# checked-in BENCH_<workload>.json BEFORE the refresh below overwrites it.
+# A result file is {"detail": <detail line>, "result": <result line>}.
+# perfbench exits 3 on an invalid run (e.g. the service falling behind
+# service_mixed's 400 req/s), which fails the script under set -e. The
+# schema check (correct result, provenance, every end-to-end metric with
+# its unit) always runs; the comparison, with every bound taken from
+# BENCHMARK.json, only runs on machines with enough cores for the figures
+# to be stable — shared/small CI boxes would flag phantom regressions.
 BENCH_COMPARE=build/tools/bench_compare
-PERF_TOLERANCE="${COGENT_PERF_TOLERANCE:-0.5}"
-if [ -x "$BENCH_COMPARE" ] && [ -f BENCH_service.json ]; then
-  "$BENCH_COMPARE" --schema BENCH_service.json
-  if [ -f bench_artifacts/bench_service.json ]; then
-    "$BENCH_COMPARE" --schema bench_artifacts/bench_service.json
-    cores=$(nproc 2>/dev/null || echo 0)
-    if [ "$cores" -ge 8 ]; then
-      "$BENCH_COMPARE" --fresh bench_artifacts/bench_service.json \
-        --baseline BENCH_service.json --tolerance "$PERF_TOLERANCE" \
-        --throughput-floor 1000
-      echo "perf gate: fresh report within ${PERF_TOLERANCE} of baseline"
-    else
-      echo "perf gate: comparison skipped ($cores cores < 8; schema-only)"
-    fi
+read -r perf_seconds perf_workloads < <(python3 -c 'import json
+b = json.load(open("BENCHMARK.json"))
+print(b["run_seconds"], " ".join(w["name"] for w in b["workloads"]))')
+cores=$(nproc 2>/dev/null || echo 0)
+rm -rf perf_artifacts && mkdir -p perf_artifacts
+for workload in $perf_workloads; do
+  fresh="perf_artifacts/BENCH_${workload}.json"
+  out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds "$perf_seconds" --trace 0)
+  printf '{"detail": %s, "result": %s}\n' \
+    "$(printf '%s\n' "$out" | sed -n 1p)" \
+    "$(printf '%s\n' "$out" | sed -n 2p)" > "$fresh"
+  "$JSON_LINT" "$fresh"
+  "$BENCH_COMPARE" --benchmark BENCHMARK.json --schema "$fresh"
+  "$BENCH_COMPARE" --benchmark BENCHMARK.json --schema "BENCH_${workload}.json"
+  if [ "$cores" -ge 8 ]; then
+    "$BENCH_COMPARE" --benchmark BENCHMARK.json --fresh "$fresh" \
+      --baseline "BENCH_${workload}.json"
   fi
+done
+if [ "$cores" -ge 8 ]; then
+  echo "perf gate: every workload within its BENCHMARK.json bounds"
+else
+  echo "perf gate: comparison skipped ($cores cores < 8; schema-only)"
 fi
 
-# The service throughput report is a checked-in artifact: refresh the
-# repo-root copy from this run so BENCH_service.json always reflects the
-# tree it sits in. (bench_service itself enforces the >= 1000 req/s
-# warm-cache floor and exits non-zero below it, failing the bench loop
-# above before we ever get here.)
-if [ -f bench_artifacts/bench_service.json ]; then
-  "$JSON_LINT" bench_artifacts/bench_service.json
-  cp bench_artifacts/bench_service.json BENCH_service.json
-  echo "refreshed BENCH_service.json from this run"
-fi
+# The perfbench results are checked-in artifacts: refresh the repo-root
+# copies from this run so each BENCH_<workload>.json reflects the tree it
+# sits in.
+for workload in $perf_workloads; do
+  cp "perf_artifacts/BENCH_${workload}.json" "BENCH_${workload}.json"
+done
+echo "refreshed BENCH_<workload>.json from this run"

@@ -543,7 +543,6 @@ void GenerationService::syncRegistry() const {
         .set(static_cast<double>(Queue.size()));
   }
   Repo.mirrorMetrics(R);
-  support::bridgeProcessCounters(R);
 }
 
 std::string GenerationService::telemetrySnapshot() const {
@@ -554,16 +553,4 @@ std::string GenerationService::telemetrySnapshot() const {
 std::string GenerationService::telemetryPrometheus() const {
   syncRegistry();
   return Telem.registry().renderPrometheus();
-}
-
-double GenerationService::percentileMs(std::vector<double> SamplesMs,
-                                       double P) {
-  if (SamplesMs.empty())
-    return 0.0;
-  std::sort(SamplesMs.begin(), SamplesMs.end());
-  double Rank = (P / 100.0) * static_cast<double>(SamplesMs.size() - 1);
-  size_t Lo = static_cast<size_t>(Rank);
-  size_t Hi = std::min(Lo + 1, SamplesMs.size() - 1);
-  double Frac = Rank - static_cast<double>(Lo);
-  return SamplesMs[Lo] * (1.0 - Frac) + SamplesMs[Hi] * Frac;
 }

@@ -65,8 +65,8 @@ namespace cogent {
 namespace service {
 
 /// Tuning knobs for one service instance. The defaults suit tests and
-/// small tools; bench_service and production-style callers raise the
-/// worker count and queue sizes.
+/// small tools; production-style callers raise the worker count and queue
+/// sizes.
 struct ServiceOptions {
   /// Worker threads draining the queue. 0 is permitted (requests queue
   /// until resume()/stop(); useful for deterministic shedding tests).
@@ -241,30 +241,22 @@ public:
   const ServiceTelemetry &telemetry() const { return Telem; }
 
   /// Point-in-time JSON snapshot of the whole registry (service counters,
-  /// cache and process counters mirrored in, queue gauges refreshed,
-  /// latency / queue-wait histograms): one {"counters":..,"gauges":..,
+  /// cache counters mirrored in, queue gauges refreshed, latency /
+  /// queue-wait histograms): one {"counters":..,"gauges":..,
   /// "histograms":..} object. The cogent_cli --telemetry-json payload.
   std::string telemetrySnapshot() const;
 
   /// The same registry state in Prometheus text exposition format.
   std::string telemetryPrometheus() const;
 
-  /// The \p P-th percentile (0..100) of \p SamplesMs; 0 when empty.
-  /// Deprecated for service-side latency reporting — the service now keeps
-  /// bounded histograms (telemetrySnapshot) instead of raw samples; this
-  /// exact-sort helper remains for callers that collect their own samples
-  /// (bench_service's warm-up slicing) and as the tests' reference
-  /// implementation for the histogram error bound.
-  static double percentileMs(std::vector<double> SamplesMs, double P);
-
 private:
   void workerLoop();
   void execute(const std::shared_ptr<PendingRequest> &Job);
   void fulfill(const std::shared_ptr<PendingRequest> &Job,
                ErrorOr<ServiceResult> Outcome);
-  /// Refreshes the liveness gauges and mirrors the cache and the process
-  /// counter table into the telemetry registry; both exporters call this
-  /// so a snapshot is always current.
+  /// Refreshes the liveness gauges and mirrors the cache counters into
+  /// the telemetry registry; both exporters call this so a snapshot is
+  /// always current.
   void syncRegistry() const;
 
   ServiceOptions Options;

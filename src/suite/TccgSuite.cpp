@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -211,10 +212,12 @@ cogent::suite::parseSuiteListing(const std::string &Text) {
     SuiteEntry Entry;
     char *IdEnd = nullptr;
     long Id = std::strtol(Tokens[0].c_str(), &IdEnd, 10);
-    if (IdEnd == Tokens[0].c_str() || *IdEnd != '\0' || Id <= 0)
+    if (IdEnd == Tokens[0].c_str() || *IdEnd != '\0' || Id <= 0 ||
+        Id > INT_MAX)
       return lineError(ErrorCode::InvalidSpec,
                        "id field \"" + Tokens[0] +
-                       "\" is not a positive integer");
+                       "\" is not a positive integer up to " +
+                       std::to_string(INT_MAX));
     Entry.Id = static_cast<int>(Id);
     Entry.Name = Tokens[1];
 

@@ -7,9 +7,9 @@
 #include "support/Counters.h"
 
 #include "support/JsonWriter.h"
-#include "support/Metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 using namespace cogent;
@@ -35,18 +35,6 @@ Counter::Counter(const char *Name, const char *Description)
   } while (!Head.compare_exchange_weak(Expected, this,
                                        std::memory_order_release,
                                        std::memory_order_relaxed));
-}
-
-CounterSnapshot cogent::support::snapshotCounters() {
-  CounterSnapshot Snapshot;
-  for (Counter *C = registryHead().load(std::memory_order_acquire); C;
-       C = C->Next)
-    Snapshot.push_back({C->name(), C->description(), C->value()});
-  std::sort(Snapshot.begin(), Snapshot.end(),
-            [](const CounterValue &X, const CounterValue &Y) {
-              return std::strcmp(X.Name, Y.Name) < 0;
-            });
-  return Snapshot;
 }
 
 constinit thread_local CounterScope
@@ -85,12 +73,4 @@ void cogent::support::writeCountersJson(JsonWriter &W,
   for (const CounterValue &Entry : Snapshot)
     W.member(Entry.Name, Entry.Value);
   W.endObject();
-}
-
-void cogent::support::bridgeProcessCounters(MetricRegistry &Registry) {
-  // bridgeTo only ratchets upward, so repeated bridging of the monotonic
-  // process table is idempotent per value and safe from any thread.
-  for (const CounterValue &Entry : snapshotCounters())
-    Registry.counter(std::string("process.") + Entry.Name, Entry.Description)
-        .bridgeTo(Entry.Value);
 }

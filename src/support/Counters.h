@@ -7,22 +7,20 @@
 /// \file
 /// LLVM-STATISTIC-style named counters: each pipeline component declares
 /// file-static Counter objects (via COGENT_COUNTER) that register themselves
-/// in a process-wide intrusive list at construction. Counters are monotonic,
-/// thread-safe (relaxed atomics) and always on — incrementing one is a
-/// single relaxed fetch_add, cheap enough to leave in hot paths.
+/// in a process-wide intrusive list at construction. The list holds names
+/// and descriptions only; a counter has no process-wide value.
 ///
 /// Per-run attribution: Cogent::generate opens a CounterScope for the
 /// duration of a run and stores its per-thread delta in
-/// GenerationResult::Counters. A scope only observes increments made on
-/// its own thread, so concurrent generate() calls each get exact
-/// attribution even though the registry itself is process-wide.
-/// (snapshotCounters remains for whole-process views, where cross-thread
-/// bleed is the desired semantics.)
+/// GenerationResult::Counters. An increment credits only the scopes active
+/// on its own thread, so concurrent generate() calls each get exact
+/// attribution, and an increment outside any scope costs one thread-local
+/// load.
 ///
-/// The table holds process-wide pipeline facts only. The service's
-/// request tallies live in its MetricRegistry (support/Metrics.h) and the
-/// plan cache's in ShardedKernelRepository's atomics; none is mirrored
-/// here, so every fact has one store and one exported name.
+/// The table holds pipeline facts only. The service's request tallies live
+/// in its MetricRegistry (support/Metrics.h) and the plan cache's in
+/// ShardedKernelRepository's atomics; none is mirrored here, so every fact
+/// has one store and one exported name.
 ///
 /// Naming convention: "<component>.<noun>" in kebab-case, e.g.
 /// "enumerator.hardware-pruned" — see docs/ARCHITECTURE.md §10.
@@ -32,7 +30,6 @@
 #ifndef COGENT_SUPPORT_COUNTERS_H
 #define COGENT_SUPPORT_COUNTERS_H
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -45,11 +42,11 @@ class Counter;
 class CounterScope;
 
 namespace counters_detail {
-/// Innermost CounterScope active on this thread (nullptr almost always);
-/// checked inline so the unscoped hot path stays one relaxed fetch_add
-/// plus one thread-local load. constinit makes it a constant-initialized
-/// TLS variable, so other translation units read it directly instead of
-/// through a lazy-initialization wrapper.
+/// Innermost CounterScope active on this thread (nullptr when none is);
+/// checked inline so the unscoped hot path stays one thread-local load.
+/// constinit makes it a constant-initialized TLS variable, so other
+/// translation units read it directly instead of through a
+/// lazy-initialization wrapper.
 extern constinit thread_local CounterScope *ActiveScope;
 /// Out-of-line slow path: credits \p N to every scope on this thread's
 /// active chain.
@@ -63,7 +60,6 @@ public:
   Counter(const char *Name, const char *Description);
 
   void add(uint64_t N) {
-    Value.fetch_add(N, std::memory_order_relaxed);
     if (counters_detail::ActiveScope)
       counters_detail::recordScoped(this, N);
   }
@@ -76,21 +72,18 @@ public:
     return *this;
   }
 
-  uint64_t value() const { return Value.load(std::memory_order_relaxed); }
   const char *name() const { return Name; }
   const char *description() const { return Description; }
 
 private:
-  friend std::vector<struct CounterValue> snapshotCounters();
   friend class CounterScope;
 
   const char *Name;
   const char *Description;
-  std::atomic<uint64_t> Value{0};
   Counter *Next = nullptr; // intrusive registry link
 };
 
-/// One counter's value at snapshot time. Name/Description point at the
+/// One counter's value in a scope's table. Name/Description point at the
 /// counter's static strings and stay valid for the process lifetime.
 struct CounterValue {
   const char *Name = nullptr;
@@ -98,21 +91,20 @@ struct CounterValue {
   uint64_t Value = 0;
 };
 
-/// All registered counters, sorted by name for deterministic output.
+/// Every registered counter, sorted by name for deterministic output.
 using CounterSnapshot = std::vector<CounterValue>;
-CounterSnapshot snapshotCounters();
 
 /// Writes \p Snapshot as one JSON object {"name": value, ...} into \p W
 /// (the writer must be positioned where a value is expected).
 void writeCountersJson(JsonWriter &W, const CounterSnapshot &Snapshot);
 
 /// RAII per-run counter attribution. While alive, every Counter increment
-/// made *on the constructing thread* is also credited to this scope;
-/// take() renders the credits as a full name-sorted table (zero entries
-/// retained, same shape as snapshotCounters' output). Scopes nest — an inner
-/// scope's increments credit every enclosing scope on the same thread —
-/// and increments from other threads are never visible, which is what
-/// gives concurrent Cogent::generate calls exact per-run attribution.
+/// made *on the constructing thread* is credited to this scope; take()
+/// renders the credits as a full name-sorted table (zero entries
+/// retained). Scopes nest — an inner scope's increments credit every
+/// enclosing scope on the same thread — and increments from other threads
+/// are never visible, which is what gives concurrent Cogent::generate
+/// calls exact per-run attribution.
 class CounterScope {
 public:
   CounterScope();

@@ -7,8 +7,9 @@
 /// \file
 /// The reading half of the dependency-free JSON layer (JsonWriter.h
 /// emits): one recursive-descent parser that builds a small DOM so tools
-/// can inspect values — bench_compare reads throughput/latency fields out
-/// of BENCH_service.json, tests read exporter snapshots back — and that
+/// can inspect values — bench_compare reads the metrics out of the
+/// checked-in BENCH_<workload>.json results and their bounds out of
+/// BENCHMARK.json, tests read exporter snapshots back — and that
 /// also backs validateJson, the well-formedness check json_lint, the tests
 /// and the bench reporters run. Accepts exactly the RFC 8259 grammar with
 /// at most 256-deep nesting; numbers are doubles, objects preserve

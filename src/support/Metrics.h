@@ -23,9 +23,9 @@
 ///    a JSON object (via the repo's own JsonWriter) and the Prometheus
 ///    text exposition format (counters/gauges as-is, histograms as
 ///    quantile summaries). A registry counter is the store of the fact it
-///    counts (the service's request tallies); only facts stored elsewhere
-///    — the process counter table, the plan cache's atomics — are
-///    mirrored in with MetricCounter::bridgeTo before an export.
+///    counts (the service's request tallies); the one fact stored
+///    elsewhere — the plan cache's atomics — is mirrored in with
+///    MetricCounter::bridgeTo before an export.
 ///
 /// Naming convention matches Counters.h: "<component>.<noun>" kebab-case
 /// ("service.latency-ms"); the Prometheus renderer sanitizes to
@@ -177,8 +177,7 @@ public:
   void add(uint64_t N = 1) { Value_.fetch_add(N, std::memory_order_relaxed); }
   /// Raises the counter to \p V if below it (never decreases): the bridge
   /// for mirroring a monotonic tally whose store lives elsewhere — the
-  /// process-wide support::Counter table, the plan cache's atomics — into
-  /// the registry.
+  /// plan cache's atomics — into the registry.
   void bridgeTo(uint64_t V) {
     uint64_t Cur = Value_.load(std::memory_order_relaxed);
     while (Cur < V &&
@@ -255,12 +254,6 @@ private:
 /// Sanitizes \p Name for Prometheus: every character outside
 /// [a-zA-Z0-9_] becomes '_'; a leading digit gains a '_' prefix.
 std::string prometheusName(const std::string &Name);
-
-/// Bridges the process-wide support::Counter table (snapshotCounters)
-/// into \p Registry as monotonic counters named "process.<name>". Safe to
-/// call repeatedly — values only ratchet upward. Defined in Counters.cpp
-/// next to the snapshot it consumes.
-void bridgeProcessCounters(MetricRegistry &Registry);
 
 } // namespace support
 } // namespace cogent

@@ -127,10 +127,13 @@ TEST(CliExitCodes, BatchWithTypedPerRequestErrorExitsThree) {
 
 TEST(CliExitCodes, BatchBadExtentLineExitsThree) {
   std::string Path = writeBatchFile("extent", "ab-ac-cb 0\n"
-                                              "ab-ac-cb 16\n");
+                                              "ab-ac-cb 16\n"
+                                              "ab-ac-cb 24 garbage\n");
   CliRun Run = runCli("--batch-file " + Path + " --quiet");
   EXPECT_EQ(Run.ExitCode, 3) << Run.Output;
   EXPECT_NE(Run.Output.find("error: line 1"), std::string::npos)
+      << Run.Output;
+  EXPECT_NE(Run.Output.find("error: line 3: InvalidSpec"), std::string::npos)
       << Run.Output;
   std::remove(Path.c_str());
 }

@@ -508,13 +508,14 @@ TEST(FuzzPipeline, CorruptedSuiteListingReportsOffendingLine) {
       << Bad.errorMessage();
 
   // Structural corruption: too few fields, bad id, unknown family, bad
-  // extent syntax — each names its line.
+  // extent syntax, an id beyond int — each names its line.
   const std::vector<std::pair<std::string, std::string>> Corruptions = {
       {"1 ml_1 ML\n", "line 1"},
       {"zero ml_1 ML abc-acd-db a=8 b=8 c=8 d=8\n", "line 1"},
       {"\n\n7 x NOPE abc-acd-db a=8 b=8 c=8 d=8\n", "line 3"},
       {"3 ml_1 ML abc-acd-db a=8 b=eight c=8 d=8\n", "line 1"},
       {"4 ml_1 ML abc-acd-db a=8 b=8 c=8 d=0\n", "line 1"},
+      {"99999999999 big ML ab-ac-cb a=4 b=4 c=4\n", "line 1"},
   };
   for (const auto &[Text, Where] : Corruptions) {
     ErrorOr<std::vector<suite::SuiteEntry>> Parsed =

@@ -353,7 +353,7 @@ TEST(Counters, ConcurrentRunsDoNotBleedIntoEachOthersDelta) {
 }
 
 TEST(Counters, SnapshotIsSortedAndDescribed) {
-  CounterSnapshot Snapshot = support::snapshotCounters();
+  CounterSnapshot Snapshot = support::CounterScope().take();
   ASSERT_FALSE(Snapshot.empty());
   for (size_t I = 0; I < Snapshot.size(); ++I) {
     ASSERT_NE(Snapshot[I].Name, nullptr);

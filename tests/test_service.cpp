@@ -296,14 +296,6 @@ TEST(Service, StatsConservationUnderMixedTraffic) {
             Stats.ShedQueueFull + Stats.ShedOverloaded + Stats.ShedExpired);
 }
 
-TEST(Service, PercentileMsInterpolates) {
-  std::vector<double> Samples = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs(Samples, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs(Samples, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs(Samples, 50.0), 2.5);
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs({}, 99.0), 0.0);
-}
-
 TEST(Service, DestructorStopsCleanlyWithQueuedWork) {
   // Destroying a paused service with queued work must not hang or crash;
   // the queued requests fail typed (observable through handles that

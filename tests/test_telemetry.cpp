@@ -10,8 +10,8 @@
 ///  - Histogram math: quantile estimates stay inside the documented
 ///    relative error bound against exact sorted percentiles on randomized
 ///    samples; bucket boundaries land deterministically; per-thread shard
-///    merges equal one histogram fed all samples; percentileMs (the exact
-///    reference implementation) handles empty/one/two-sample inputs.
+///    merges equal one histogram fed all samples; the exact-sort
+///    percentileMs helper handles empty/one/two/four-sample inputs.
 ///  - Timeline completeness: every request the service sees — plain runs
 ///    and chaos storms over all injection sites — yields a timeline that
 ///    starts with 'submitted' and ends with exactly one terminal event
@@ -21,8 +21,9 @@
 ///    same registry state (values cross-checked after a parse of each);
 ///    the JSON-lines event sink emits one valid, kind-decodable object
 ///    per line.
-///  - The perf-regression gate: bench_compare accepts the checked-in
-///    BENCH_service.json and rejects a synthetically degraded copy.
+///  - The perf-regression gate: bench_compare accepts each checked-in
+///    perfbench result (BENCH_<workload>.json) and rejects copies degraded
+///    past a BENCHMARK.json bound, from another run, or incorrect.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,6 +88,19 @@ double exactQuantile(std::vector<double> Samples, double P) {
   size_t Rank = static_cast<size_t>(std::ceil(P / 100.0 * N));
   Rank = std::min(std::max<size_t>(Rank, 1), Samples.size());
   return Samples[Rank - 1];
+}
+
+/// The \p P-th percentile (0..100) of \p SamplesMs by linear
+/// interpolation on rank (P/100)*(N-1); 0 when empty.
+double percentileMs(std::vector<double> SamplesMs, double P) {
+  if (SamplesMs.empty())
+    return 0.0;
+  std::sort(SamplesMs.begin(), SamplesMs.end());
+  double Rank = (P / 100.0) * static_cast<double>(SamplesMs.size() - 1);
+  size_t Lo = static_cast<size_t>(Rank);
+  size_t Hi = std::min(Lo + 1, SamplesMs.size() - 1);
+  double Frac = Rank - static_cast<double>(Lo);
+  return SamplesMs[Lo] * (1.0 - Frac) + SamplesMs[Hi] * Frac;
 }
 
 //===----------------------------------------------------------------------===//
@@ -229,19 +243,23 @@ TEST(ConcurrentHistogram, CrossThreadShardMergeIsDeterministic) {
 }
 
 TEST(PercentileMs, EdgeCases) {
-  // The deprecated exact-sort shim stays total on degenerate inputs: it
-  // is the reference the histogram tests compare against.
-  EXPECT_EQ(GenerationService::percentileMs({}, 50.0), 0.0);
-  EXPECT_EQ(GenerationService::percentileMs({}, 0.0), 0.0);
+  // The exact-sort helper stays total on degenerate inputs.
+  EXPECT_EQ(percentileMs({}, 50.0), 0.0);
+  EXPECT_EQ(percentileMs({}, 0.0), 0.0);
+  EXPECT_EQ(percentileMs({}, 99.0), 0.0);
 
   for (double P : {0.0, 50.0, 99.0, 100.0})
-    EXPECT_DOUBLE_EQ(GenerationService::percentileMs({4.25}, P), 4.25);
+    EXPECT_DOUBLE_EQ(percentileMs({4.25}, P), 4.25);
 
-  // Two samples: linear interpolation on rank (P/100)*(N-1).
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs({1.0, 3.0}, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs({3.0, 1.0}, 100.0), 3.0);
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs({1.0, 3.0}, 50.0), 2.0);
-  EXPECT_DOUBLE_EQ(GenerationService::percentileMs({1.0, 3.0}, 75.0), 2.5);
+  // Linear interpolation on rank (P/100)*(N-1), whatever the input order.
+  EXPECT_DOUBLE_EQ(percentileMs({1.0, 3.0}, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(percentileMs({3.0, 1.0}, 100.0), 3.0);
+  EXPECT_DOUBLE_EQ(percentileMs({1.0, 3.0}, 50.0), 2.0);
+  EXPECT_DOUBLE_EQ(percentileMs({1.0, 3.0}, 75.0), 2.5);
+  const std::vector<double> Four = {4.0, 1.0, 3.0, 2.0};
+  EXPECT_DOUBLE_EQ(percentileMs(Four, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(percentileMs(Four, 100.0), 4.0);
+  EXPECT_DOUBLE_EQ(percentileMs(Four, 50.0), 2.5);
 }
 
 //===----------------------------------------------------------------------===//
@@ -577,16 +595,15 @@ TEST(ServiceTimelines, SnapshotAloneCarriesEveryServiceInvariant) {
                 count("service.shed-expired") +
                 count("service.shed-stopped"));
 
-  // One name, one kind: no name sits in two sections, and no fact is
-  // exported a second time under a process-wide alias.
+  // One name, one kind: no name sits in two sections, and nothing is
+  // exported under a process-wide "process." name.
   std::multiset<std::string> Names;
   for (const char *Section : {"counters", "gauges", "histograms"}) {
     const JsonValue *Metrics = Parsed->find(Section);
     ASSERT_NE(Metrics, nullptr) << Section;
     for (const auto &[Name, Value] : Metrics->asObject()) {
       Names.insert(Name);
-      EXPECT_NE(Name.rfind("process.service.", 0), 0u) << Name;
-      EXPECT_NE(Name.rfind("process.repository.shard-", 0), 0u) << Name;
+      EXPECT_NE(Name.rfind("process.", 0), 0u) << Name;
     }
   }
   for (const std::string &Name : Names)
@@ -675,7 +692,17 @@ TEST(ServiceTimelines, ChaosStormKeepsEveryTimelineComplete) {
 // The bench_compare perf gate
 //===----------------------------------------------------------------------===//
 
-#if defined(BENCH_COMPARE_PATH) && defined(BENCH_SERVICE_JSON)
+#if defined(BENCH_COMPARE_PATH) && defined(BENCH_RESULTS_DIR) &&             \
+    defined(BENCHMARK_JSON)
+const char *const Workloads[] = {"suite_top1", "shortlist_top8",
+                                 "service_mixed"};
+const std::string Benchmark = std::string("--benchmark ") + BENCHMARK_JSON;
+
+/// The checked-in result of \p Workload: BENCH_<workload>.json.
+std::string resultPath(const std::string &Workload) {
+  return std::string(BENCH_RESULTS_DIR) + "/BENCH_" + Workload + ".json";
+}
+
 int runBenchCompare(const std::string &Args) {
   std::string Command = std::string(BENCH_COMPARE_PATH) + " " + Args +
                         " > /dev/null 2>&1";
@@ -683,57 +710,124 @@ int runBenchCompare(const std::string &Args) {
   return Status < 0 ? Status : WEXITSTATUS(Status);
 }
 
-TEST(BenchCompareGate, AcceptsCheckedInBaseline) {
-  EXPECT_EQ(runBenchCompare(std::string("--schema ") + BENCH_SERVICE_JSON),
-            0);
-  EXPECT_EQ(runBenchCompare(std::string("--fresh ") + BENCH_SERVICE_JSON +
-                            " --baseline " + BENCH_SERVICE_JSON),
-            0);
-}
-
-TEST(BenchCompareGate, RejectsDegradedReportAndBadUsage) {
-  // Synthetically degrade the checked-in report: halve throughput well
-  // past the tolerance and blow up p99.
-  std::ifstream Baseline(BENCH_SERVICE_JSON);
-  ASSERT_TRUE(Baseline.good());
+std::string readText(const std::string &Path) {
+  std::ifstream In(Path);
   std::stringstream Buffer;
-  Buffer << Baseline.rdbuf();
-  std::string Text = Buffer.str();
-  ErrorOr<JsonValue> Parsed = support::parseJson(Text);
-  ASSERT_TRUE(Parsed.hasValue());
-  double Throughput =
-      Parsed->findNumber("throughput_req_per_s").value_or(0.0);
-  ASSERT_GT(Throughput, 0.0);
-
-  auto ReplaceNumber = [&](const std::string &Key, double Value) {
-    size_t KeyPos = Text.find("\"" + Key + "\":");
-    ASSERT_NE(KeyPos, std::string::npos) << Key;
-    size_t Start = KeyPos + Key.size() + 3;
-    size_t End = Text.find_first_of(",}", Start);
-    ASSERT_NE(End, std::string::npos);
-    char Formatted[64];
-    std::snprintf(Formatted, sizeof(Formatted), "%.17g", Value);
-    Text.replace(Start, End - Start, Formatted);
-  };
-  ReplaceNumber("throughput_req_per_s", Throughput * 0.01);
-
-  std::string DegradedPath = ::testing::TempDir() + "degraded_bench.json";
-  std::ofstream Out(DegradedPath);
-  Out << Text;
-  Out.close();
-
-  EXPECT_EQ(runBenchCompare("--fresh " + DegradedPath + " --baseline " +
-                            BENCH_SERVICE_JSON),
-            1);
-  // Same degraded report still schema-validates (conservation untouched).
-  EXPECT_EQ(runBenchCompare("--schema " + DegradedPath), 0);
-  // Usage errors exit 2.
-  EXPECT_EQ(runBenchCompare(""), 2);
-  EXPECT_EQ(runBenchCompare("--fresh " + DegradedPath), 2);
-  // A missing file is an invalid-report failure, not a usage error.
-  EXPECT_EQ(runBenchCompare("--schema /no/such/report.json"), 1);
-  std::remove(DegradedPath.c_str());
+  Buffer << In.rdbuf();
+  return Buffer.str();
 }
-#endif // BENCH_COMPARE_PATH && BENCH_SERVICE_JSON
+
+double metricValue(const std::string &Text, const std::string &Metric) {
+  ErrorOr<JsonValue> Parsed = support::parseJson(Text);
+  if (!Parsed)
+    return 0.0;
+  const JsonValue *Result = Parsed->find("result");
+  const JsonValue *Metrics = Result ? Result->find("metrics") : nullptr;
+  const JsonValue *M = Metrics ? Metrics->find(Metric) : nullptr;
+  return M ? M->findNumber("value").value_or(0.0) : 0.0;
+}
+
+/// Writes a copy of \p Text whose JSON scalar right after the first
+/// \p Anchor is \p Value, and returns its path ("" when \p Anchor is
+/// absent).
+std::string writeEdited(std::string Text, const std::string &Anchor,
+                        const std::string &Value) {
+  size_t Start = Text.find(Anchor);
+  if (Start == std::string::npos)
+    return "";
+  Start += Anchor.size();
+  size_t End = Text.find_first_of(",}", Start);
+  Text.replace(Start, End - Start, Value);
+  std::string Path = ::testing::TempDir() + "bench_compare_edited.json";
+  std::ofstream(Path) << Text;
+  return Path;
+}
+
+std::string metricAnchor(const std::string &Metric) {
+  return "\"" + Metric + "\": {\"value\": ";
+}
+
+std::string scaled(double Value, double Factor) {
+  char Formatted[64];
+  std::snprintf(Formatted, sizeof(Formatted), "%.17g", Value * Factor);
+  return Formatted;
+}
+
+TEST(BenchCompareGate, AcceptsEveryCheckedInResult) {
+  for (const char *Name : Workloads) {
+    std::string Path = resultPath(Name);
+    EXPECT_EQ(runBenchCompare(Benchmark + " --schema " + Path), 0) << Name;
+    EXPECT_EQ(runBenchCompare(Benchmark + " --fresh " + Path +
+                              " --baseline " + Path),
+              0)
+        << Name;
+  }
+}
+
+TEST(BenchCompareGate, RejectsMetricsWorseThanTheirBound) {
+  for (const char *Name : Workloads) {
+    std::string Baseline = resultPath(Name);
+    std::string Text = readText(Baseline);
+    auto compareEdited = [&](const std::string &Metric, double Factor) {
+      std::string Path = writeEdited(
+          Text, metricAnchor(Metric),
+          scaled(metricValue(Text, Metric), Factor));
+      EXPECT_FALSE(Path.empty()) << Name << ": no " << Metric;
+      int Status = runBenchCompare(Benchmark + " --fresh " + Path +
+                                   " --baseline " + Baseline);
+      std::remove(Path.c_str());
+      return Status;
+    };
+    // throughput_per_s is bounded at 24%, kernel_gflops_geomean at 1%.
+    EXPECT_EQ(compareEdited("throughput_per_s", 0.5), 1) << Name;
+    EXPECT_EQ(compareEdited("kernel_gflops_geomean", 0.98), 1) << Name;
+    EXPECT_EQ(compareEdited("kernel_gflops_geomean", 0.995), 0) << Name;
+    EXPECT_EQ(compareEdited("latency_p99_ms", 1.2), 0) << Name;
+    EXPECT_EQ(compareEdited("latency_p99_ms", 1.3), 1) << Name;
+  }
+}
+
+TEST(BenchCompareGate, RejectsOtherRunsAndIncorrectResults) {
+  std::string Baseline = resultPath(Workloads[0]);
+  std::string Text = readText(Baseline);
+  // Another workload or build type: still schema-valid, never comparable.
+  for (const auto &[Anchor, Value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"workload\": ", "\"shortlist_top8\""},
+           {"\"build_type\": ", "\"Debug\""}}) {
+    std::string Path = writeEdited(Text, Anchor, Value);
+    ASSERT_FALSE(Path.empty()) << Anchor;
+    EXPECT_EQ(runBenchCompare(Benchmark + " --schema " + Path), 0) << Anchor;
+    EXPECT_EQ(runBenchCompare(Benchmark + " --fresh " + Path +
+                              " --baseline " + Baseline),
+              1)
+        << Anchor;
+    std::remove(Path.c_str());
+  }
+  std::string Incorrect = writeEdited(Text, "\"correct\": ", "false");
+  ASSERT_FALSE(Incorrect.empty());
+  EXPECT_EQ(runBenchCompare(Benchmark + " --schema " + Incorrect), 1);
+  std::remove(Incorrect.c_str());
+}
+
+TEST(BenchCompareGate, UsageErrorsAndMissingFiles) {
+  std::string Result = resultPath(Workloads[0]);
+  EXPECT_EQ(runBenchCompare(""), 2);
+  EXPECT_EQ(runBenchCompare("--schema " + Result), 2); // no --benchmark
+  EXPECT_EQ(runBenchCompare(Benchmark + " --fresh " + Result), 2);
+  EXPECT_EQ(runBenchCompare(Benchmark + " --schema " + Result + " --fresh " +
+                            Result + " --baseline " + Result),
+            2);
+  EXPECT_EQ(runBenchCompare(Benchmark + " --schema"), 2); // missing value
+  EXPECT_EQ(runBenchCompare(Benchmark + " --fresh " + Result +
+                            " --baseline " + Result + " --tolerance 0.5"),
+            2);
+  // A missing file is an invalid-input failure, not a usage error.
+  EXPECT_EQ(runBenchCompare(Benchmark + " --schema /no/such/result.json"), 1);
+  EXPECT_EQ(runBenchCompare("--benchmark /no/such/BENCHMARK.json --schema " +
+                            Result),
+            1);
+}
+#endif // BENCH_COMPARE_PATH && BENCH_RESULTS_DIR && BENCHMARK_JSON
 
 } // namespace

@@ -1,67 +1,55 @@
-//===- tools/bench_compare.cpp - bench_service perf-regression gate -------===//
+//===- tools/bench_compare.cpp - perfbench perf-regression gate ------------===//
 //
 // Part of the COGENT reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 //
-// Diffs a fresh bench_service report against the checked-in baseline
-// (BENCH_service.json) and fails on regression, so scripts/run_all.sh can
-// gate merges on service throughput/latency. Two modes:
+// Checks perfbench results against the end-to-end metrics BENCHMARK.json
+// declares, so scripts/run_all.sh can gate on them. A result file is one
+// object {"detail": <perfbench detail line>, "result": <perfbench result
+// line>}; the checked-in BENCH_<workload>.json files have that shape.
 //
-//   bench_compare --schema REPORT.json
-//       Validates one report in isolation: required keys present and of
-//       the right type, every stats tally non-negative, and the stats
-//       conservation law (submitted == completed + failed + shed_*).
+//   bench_compare --benchmark BENCHMARK.json --schema RESULT.json
+//       The result is correct ("correct": true), its detail line carries
+//       the provenance (workload, seed, seconds, build type, chaos flag)
+//       and every end-to-end metric is present with its declared unit.
 //
-//   bench_compare --fresh FRESH.json --baseline BASELINE.json
-//                 [--tolerance F] [--throughput-floor R]
-//                 [--latency-slack-ms MS]
-//       Schema-checks both reports, then enforces:
-//         - throughput >= baseline * (1 - tolerance), and >= the absolute
-//           floor when one is given;
-//         - p50/p99 latency <= baseline * (1 + tolerance) + slack (the
-//           additive slack absorbs scheduler noise on sub-50us medians).
+//   bench_compare --benchmark BENCHMARK.json --fresh F.json --baseline B.json
+//       The schema check on both files; their provenance must match; then
+//       no metric may be worse than the baseline by more than its bound,
+//       in the metric's "better" direction: for "higher",
+//       fresh >= baseline * (1 - bound); for "lower",
+//       fresh <= baseline * (1 + bound).
 //
-// Exit codes follow the repo convention: 0 pass, 1 regression or invalid
-// report, 2 usage error. Every verdict line is printed (PASS or FAIL per
-// check) so CI logs show the margins, not just the outcome.
+// Every bound comes from BENCHMARK.json. Exit codes follow the repo
+// convention: 0 pass, 1 regression or an invalid or unreadable file, 2
+// usage error. Every check prints a PASS or FAIL line with its margin.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/JsonValue.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 using cogent::ErrorOr;
 using cogent::support::JsonValue;
-using cogent::support::parseJson;
 
 namespace {
 
 int usage(const char *Argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --schema REPORT.json\n"
-      "       %s --fresh FRESH.json --baseline BASELINE.json\n"
-      "          [--tolerance F] [--throughput-floor REQ_PER_S]\n"
-      "          [--latency-slack-ms MS]\n"
-      "\n"
-      "Validates bench_service JSON reports and gates on perf regressions.\n"
-      "  --schema            validate one report and exit\n"
-      "  --tolerance F       relative margin for throughput/latency drift\n"
-      "                      (default 0.5, i.e. 50%%)\n"
-      "  --throughput-floor  absolute req/s floor on the fresh report\n"
-      "  --latency-slack-ms  additive latency allowance on top of the\n"
-      "                      relative margin (default 0.05 ms)\n",
-      Argv0, Argv0);
+  std::fprintf(stderr,
+               "usage: %s --benchmark BENCHMARK.json --schema RESULT.json\n"
+               "       %s --benchmark BENCHMARK.json --fresh FRESH.json "
+               "--baseline BASELINE.json\n",
+               Argv0, Argv0);
   return 2;
 }
 
-ErrorOr<std::string> readFile(const std::string &Path) {
+ErrorOr<JsonValue> loadJson(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return cogent::Error(cogent::ErrorCode::InvalidSpec,
@@ -72,34 +60,70 @@ ErrorOr<std::string> readFile(const std::string &Path) {
   while ((Read = std::fread(Buffer, 1, sizeof(Buffer), F)) > 0)
     Content.append(Buffer, Read);
   std::fclose(F);
-  return Content;
+  return std::move(cogent::support::parseJson(Content))
+      .withContext("reading '" + Path + "'");
 }
 
-/// The stats tallies every bench_service report must carry, all >= 0.
-const char *const StatKeys[] = {
-    "submitted",       "completed",      "failed",
-    "shed_queue_full", "shed_overloaded", "shed_expired",
-    "retries",         "coalesced",      "cache_hits",
-    "cache_misses",    "quarantined",    "breaker_trips",
-    "breaker_resets",  "deadline_degraded", "deadline_expired",
+/// One end-to-end metric of BENCHMARK.json.
+struct MetricSpec {
+  std::string Name;
+  std::string Unit;
+  bool HigherIsBetter = true;
+  double Bound = 0.0;
 };
 
-/// Top-level numeric keys a report must carry. race_findings /
-/// race_rejections are the race-prover lint totals across the run
-/// (KernelLint passes 11-13); findings may include benign warnings but a
-/// rejection means the strict gate threw away a kernel for a proven race
-/// or divergent barrier, which the TCCG suite must never produce.
-const char *const NumberKeys[] = {
-    "workers",           "client_threads", "requests_per_client",
-    "deadline_ms",       "warmup_requests", "warmup_ms",
-    "warmup_failures",   "steady_requests", "steady_ms",
-    "throughput_req_per_s", "latency_p50_ms", "latency_p99_ms",
-    "race_findings",     "race_rejections",
+/// Reads BENCHMARK.json's "end_to_end" list; empty on a malformed entry
+/// (reported on stderr).
+std::vector<MetricSpec> readSpecs(const JsonValue &Benchmark) {
+  const JsonValue *List = Benchmark.find("end_to_end");
+  if (!List || !List->isArray() || List->asArray().empty()) {
+    std::fprintf(stderr, "bench_compare: no \"end_to_end\" metric list\n");
+    return {};
+  }
+  std::vector<MetricSpec> Specs;
+  for (const JsonValue &Entry : List->asArray()) {
+    const JsonValue *Name = Entry.find("name");
+    const JsonValue *Unit = Entry.find("unit");
+    const JsonValue *Better = Entry.find("better");
+    std::optional<double> Bound = Entry.findNumber("bound");
+    if (!Name || !Name->isString() || !Unit || !Unit->isString() ||
+        !Better || !Better->isString() ||
+        (Better->asString() != "higher" && Better->asString() != "lower") ||
+        !Bound || *Bound < 0.0) {
+      std::fprintf(stderr, "bench_compare: malformed end_to_end entry\n");
+      return {};
+    }
+    Specs.push_back({Name->asString(), Unit->asString(),
+                     Better->asString() == "higher", *Bound});
+  }
+  return Specs;
+}
+
+/// The provenance fields two compared runs must share, with the JSON
+/// kind each must have.
+const std::pair<const char *, JsonValue::Kind> ProvenanceKeys[] = {
+    {"workload", JsonValue::Kind::String},
+    {"seed", JsonValue::Kind::Number},
+    {"seconds", JsonValue::Kind::Number},
+    {"build_type", JsonValue::Kind::String},
+    {"cogent_chaos", JsonValue::Kind::Bool},
 };
 
-/// Validates one parsed report; prints one line per violation. Returns
-/// the number of violations.
-int checkSchema(const JsonValue &Report, const std::string &Label) {
+const JsonValue *provenance(const JsonValue &Report) {
+  const JsonValue *Detail = Report.find("detail");
+  return Detail ? Detail->find("provenance") : nullptr;
+}
+
+const JsonValue *metric(const JsonValue &Report, const std::string &Name) {
+  const JsonValue *Result = Report.find("result");
+  const JsonValue *Metrics = Result ? Result->find("metrics") : nullptr;
+  return Metrics ? Metrics->find(Name) : nullptr;
+}
+
+/// Validates one result file; prints one line per violation and returns
+/// their number.
+int checkSchema(const JsonValue &Report, const std::vector<MetricSpec> &Specs,
+                const std::string &Label) {
   int Violations = 0;
   auto Complain = [&](const std::string &Msg) {
     std::fprintf(stderr, "bench_compare: %s: %s\n", Label.c_str(),
@@ -107,214 +131,143 @@ int checkSchema(const JsonValue &Report, const std::string &Label) {
     ++Violations;
   };
 
-  if (!Report.isObject()) {
-    Complain("top-level value is not an object");
-    return Violations;
-  }
-  for (const char *Key : {"bench", "suite", "device"}) {
-    const JsonValue *V = Report.find(Key);
-    if (!V || !V->isString())
-      Complain(std::string("missing string key '") + Key + "'");
-  }
-  for (const char *Key : NumberKeys) {
-    auto N = Report.findNumber(Key);
-    if (!N)
-      Complain(std::string("missing numeric key '") + Key + "'");
-    else if (*N < 0.0)
-      Complain(std::string("negative value for '") + Key + "'");
+  const JsonValue *Result = Report.find("result");
+  const JsonValue *Correct = Result ? Result->find("correct") : nullptr;
+  if (!Correct || !Correct->isBool() || !Correct->asBool())
+    Complain("result is not \"correct\": true");
+
+  const JsonValue *Provenance = provenance(Report);
+  for (const auto &[Key, Kind] : ProvenanceKeys) {
+    const JsonValue *V = Provenance ? Provenance->find(Key) : nullptr;
+    if (!V || V->kind() != Kind)
+      Complain(std::string("detail.provenance: missing or mistyped '") +
+               Key + "'");
   }
 
-  const JsonValue *Stats = Report.find("stats");
-  if (!Stats || !Stats->isObject()) {
-    Complain("missing object key 'stats'");
-    return Violations;
+  for (const MetricSpec &Spec : Specs) {
+    const JsonValue *M = metric(Report, Spec.Name);
+    const JsonValue *Unit = M ? M->find("unit") : nullptr;
+    if (!M || !M->findNumber("value"))
+      Complain("metric '" + Spec.Name + "' missing");
+    else if (!Unit || !Unit->isString() || Unit->asString() != Spec.Unit)
+      Complain("metric '" + Spec.Name + "' not in unit '" + Spec.Unit + "'");
   }
-  for (const char *Key : StatKeys) {
-    auto N = Stats->findNumber(Key);
-    if (!N)
-      Complain(std::string("stats: missing numeric key '") + Key + "'");
-    else if (*N < 0.0)
-      Complain(std::string("stats: negative tally '") + Key + "'");
-  }
-
-  // The conservation law: nothing submitted may vanish. An idle service
-  // has submitted == completed + failed + shed_*; a report violating it
-  // lost or double-counted requests.
-  auto Stat = [&](const char *Key) {
-    return Stats->findNumber(Key).value_or(0.0);
-  };
-  double Submitted = Stat("submitted");
-  double Accounted = Stat("completed") + Stat("failed") +
-                     Stat("shed_queue_full") + Stat("shed_overloaded") +
-                     Stat("shed_expired");
-  if (Submitted != Accounted)
-    Complain("stats conservation violated: submitted=" +
-             std::to_string(Submitted) + " != completed+failed+shed=" +
-             std::to_string(Accounted));
-
-  // The race gate: a strict-gate race rejection in a benchmark run means
-  // the generator emitted (and discarded) a kernel with a proven data
-  // race or divergent barrier — a generator regression, never noise.
-  double RaceRejections = Report.findNumber("race_rejections").value_or(0.0);
-  if (RaceRejections != 0.0)
-    Complain("race_rejections must be zero, got " +
-             std::to_string(RaceRejections));
   return Violations;
 }
 
-ErrorOr<JsonValue> loadReport(const std::string &Path) {
-  ErrorOr<std::string> Text = readFile(Path);
-  if (!Text)
-    return Text.takeError();
-  return parseJson(*Text);
+bool sameValue(const JsonValue &A, const JsonValue &B) {
+  if (A.kind() != B.kind())
+    return false;
+  switch (A.kind()) {
+  case JsonValue::Kind::String: return A.asString() == B.asString();
+  case JsonValue::Kind::Number: return A.asNumber() == B.asNumber();
+  case JsonValue::Kind::Bool: return A.asBool() == B.asBool();
+  default: return false;
+  }
 }
 
-struct GateCheck {
-  std::string Name;
-  double Fresh;
-  double Limit;
-  bool UpperBound; ///< true: Fresh must be <= Limit; false: >= Limit.
-};
+/// Compares two schema-valid results; prints one line per check and
+/// returns the number of failures.
+int compare(const JsonValue &Fresh, const JsonValue &Baseline,
+            const std::vector<MetricSpec> &Specs) {
+  int Failures = 0;
+  for (const auto &Key : ProvenanceKeys) {
+    if (!sameValue(*provenance(Fresh)->find(Key.first),
+                   *provenance(Baseline)->find(Key.first))) {
+      std::printf("bench_compare: FAIL: provenance '%s' differs\n",
+                  Key.first);
+      ++Failures;
+    }
+  }
+  if (Failures)
+    return Failures; // Different runs: their metrics are not comparable.
+
+  for (const MetricSpec &Spec : Specs) {
+    double Value = *metric(Fresh, Spec.Name)->findNumber("value");
+    double Base = *metric(Baseline, Spec.Name)->findNumber("value");
+    double Limit = Spec.HigherIsBetter ? Base * (1.0 - Spec.Bound)
+                                       : Base * (1.0 + Spec.Bound);
+    bool Ok = Spec.HigherIsBetter ? Value >= Limit : Value <= Limit;
+    std::printf("bench_compare: %s: %-22s %12.4f %s %12.4f (baseline "
+                "%.4f, bound %.2f)\n",
+                Ok ? "PASS" : "FAIL", Spec.Name.c_str(), Value,
+                Spec.HigherIsBetter ? ">=" : "<=", Limit, Base, Spec.Bound);
+    Failures += Ok ? 0 : 1;
+  }
+  return Failures;
+}
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string SchemaPath;
-  std::string FreshPath;
-  std::string BaselinePath;
-  double Tolerance = 0.5;
-  double ThroughputFloor = 0.0;
-  double LatencySlackMs = 0.05;
-
+  std::string BenchmarkPath, SchemaPath, FreshPath, BaselinePath;
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
-    auto Value = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "bench_compare: %s needs a value\n",
-                     Arg.c_str());
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    if (Arg == "--schema") {
-      const char *V = Value();
-      if (!V)
-        return 2;
-      SchemaPath = V;
-    } else if (Arg == "--fresh") {
-      const char *V = Value();
-      if (!V)
-        return 2;
-      FreshPath = V;
-    } else if (Arg == "--baseline") {
-      const char *V = Value();
-      if (!V)
-        return 2;
-      BaselinePath = V;
-    } else if (Arg == "--tolerance") {
-      const char *V = Value();
-      if (!V)
-        return 2;
-      Tolerance = std::strtod(V, nullptr);
-    } else if (Arg == "--throughput-floor") {
-      const char *V = Value();
-      if (!V)
-        return 2;
-      ThroughputFloor = std::strtod(V, nullptr);
-    } else if (Arg == "--latency-slack-ms") {
-      const char *V = Value();
-      if (!V)
-        return 2;
-      LatencySlackMs = std::strtod(V, nullptr);
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage(Argv[0]);
-      return 0;
-    } else {
+    std::string *Target = Arg == "--benchmark" ? &BenchmarkPath
+                          : Arg == "--schema"  ? &SchemaPath
+                          : Arg == "--fresh"   ? &FreshPath
+                          : Arg == "--baseline" ? &BaselinePath
+                                                : nullptr;
+    if (!Target) {
       std::fprintf(stderr, "bench_compare: unknown argument '%s'\n",
                    Arg.c_str());
       return usage(Argv[0]);
     }
-  }
-
-  if (!SchemaPath.empty()) {
-    if (!FreshPath.empty() || !BaselinePath.empty())
+    if (I + 1 >= Argc) {
+      std::fprintf(stderr, "bench_compare: %s needs a value\n", Arg.c_str());
       return usage(Argv[0]);
-    ErrorOr<JsonValue> Report = loadReport(SchemaPath);
+    }
+    *Target = Argv[++I];
+  }
+  bool SchemaMode = !SchemaPath.empty();
+  bool CompareMode = !FreshPath.empty() || !BaselinePath.empty();
+  if (BenchmarkPath.empty() || SchemaMode == CompareMode ||
+      (CompareMode && (FreshPath.empty() || BaselinePath.empty())))
+    return usage(Argv[0]);
+
+  ErrorOr<JsonValue> Benchmark = loadJson(BenchmarkPath);
+  if (!Benchmark) {
+    std::fprintf(stderr, "bench_compare: %s\n",
+                 Benchmark.error().message().c_str());
+    return 1;
+  }
+  std::vector<MetricSpec> Specs = readSpecs(*Benchmark);
+  if (Specs.empty())
+    return 1;
+
+  std::vector<std::string> Paths =
+      SchemaMode ? std::vector<std::string>{SchemaPath}
+                 : std::vector<std::string>{FreshPath, BaselinePath};
+  std::vector<JsonValue> Reports;
+  int Violations = 0;
+  for (const std::string &Path : Paths) {
+    ErrorOr<JsonValue> Report = loadJson(Path);
     if (!Report) {
       std::fprintf(stderr, "bench_compare: %s\n",
                    Report.error().message().c_str());
       return 1;
     }
-    int Violations = checkSchema(*Report, SchemaPath);
-    if (Violations) {
-      std::fprintf(stderr, "bench_compare: FAIL: %d schema violation%s\n",
-                   Violations, Violations == 1 ? "" : "s");
-      return 1;
-    }
-    std::printf("bench_compare: PASS: %s schema valid\n", SchemaPath.c_str());
-    return 0;
+    Violations += checkSchema(*Report, Specs, Path);
+    Reports.push_back(std::move(*Report));
   }
-
-  if (FreshPath.empty() || BaselinePath.empty())
-    return usage(Argv[0]);
-  if (Tolerance < 0.0 || Tolerance >= 1.0) {
-    std::fprintf(stderr,
-                 "bench_compare: --tolerance must be in [0, 1), got %g\n",
-                 Tolerance);
-    return 2;
-  }
-
-  ErrorOr<JsonValue> Fresh = loadReport(FreshPath);
-  if (!Fresh) {
-    std::fprintf(stderr, "bench_compare: %s\n",
-                 Fresh.error().message().c_str());
-    return 1;
-  }
-  ErrorOr<JsonValue> Baseline = loadReport(BaselinePath);
-  if (!Baseline) {
-    std::fprintf(stderr, "bench_compare: %s\n",
-                 Baseline.error().message().c_str());
-    return 1;
-  }
-  int Violations =
-      checkSchema(*Fresh, FreshPath) + checkSchema(*Baseline, BaselinePath);
   if (Violations) {
     std::fprintf(stderr, "bench_compare: FAIL: %d schema violation%s\n",
                  Violations, Violations == 1 ? "" : "s");
     return 1;
   }
-
-  auto Num = [](const JsonValue &Report, const char *Key) {
-    return Report.findNumber(Key).value_or(0.0);
-  };
-  std::vector<GateCheck> Checks;
-  Checks.push_back({"throughput_req_per_s", Num(*Fresh, "throughput_req_per_s"),
-                    Num(*Baseline, "throughput_req_per_s") * (1.0 - Tolerance),
-                    /*UpperBound=*/false});
-  if (ThroughputFloor > 0.0)
-    Checks.push_back({"throughput_floor", Num(*Fresh, "throughput_req_per_s"),
-                      ThroughputFloor, /*UpperBound=*/false});
-  for (const char *Key : {"latency_p50_ms", "latency_p99_ms"})
-    Checks.push_back({Key, Num(*Fresh, Key),
-                      Num(*Baseline, Key) * (1.0 + Tolerance) + LatencySlackMs,
-                      /*UpperBound=*/true});
-
-  int Failures = 0;
-  for (const GateCheck &Check : Checks) {
-    bool Ok = Check.UpperBound ? Check.Fresh <= Check.Limit
-                               : Check.Fresh >= Check.Limit;
-    std::printf("bench_compare: %s: %-22s %12.4f %s %12.4f\n",
-                Ok ? "PASS" : "FAIL", Check.Name.c_str(), Check.Fresh,
-                Check.UpperBound ? "<=" : ">=", Check.Limit);
-    Failures += Ok ? 0 : 1;
+  if (SchemaMode) {
+    std::printf("bench_compare: PASS: %s schema valid\n", SchemaPath.c_str());
+    return 0;
   }
+
+  int Failures = compare(Reports[0], Reports[1], Specs);
   if (Failures) {
-    std::fprintf(stderr,
-                 "bench_compare: FAIL: %d perf gate%s regressed vs %s\n",
+    std::fprintf(stderr, "bench_compare: FAIL: %d check%s failed vs %s\n",
                  Failures, Failures == 1 ? "" : "s", BaselinePath.c_str());
     return 1;
   }
-  std::printf("bench_compare: PASS: %s within tolerance %.2f of %s\n",
-              FreshPath.c_str(), Tolerance, BaselinePath.c_str());
+  std::printf("bench_compare: PASS: %s within the BENCHMARK.json bounds of "
+              "%s\n",
+              FreshPath.c_str(), BaselinePath.c_str());
   return 0;
 }
