@@ -16,7 +16,7 @@
 ///              [--smem-per-block N] [--transaction-bytes N]
 ///              [--chaos-seed N] [--chaos-sites LIST]
 ///              [--lint=off|warn|strict] [--explain-lint]
-///              [--explain-races] [--explain-dataflow] [--pressure-ranking]
+///              [--explain-races] [--explain-dataflow]
 ///              [--trace=FILE] [--metrics=FILE] [--quiet]
 /// Examples:
 ///   cogent_cli abcd-aebf-dfce 72
@@ -47,10 +47,8 @@
 ///
 /// --explain-dataflow dumps KernelDataflow's view of the printed kernel —
 /// the CFG, register-pressure table, staging-buffer lifetimes and def-use
-/// summary — to stderr. --pressure-ranking makes
-/// the search rank candidates by the refined liveness-backed register
-/// estimate's occupancy instead of the flat per-config one (the estimates
-/// are reported in --metrics either way).
+/// summary — to stderr. --metrics reports both register estimates per
+/// kernel: the plan-side analytic one and the source's liveness-derived one.
 ///
 /// --chaos-seed/--chaos-sites arm the deterministic fault-injection layer
 /// (builds configured with COGENT_CHAOS=ON, the default): --chaos-sites
@@ -66,10 +64,10 @@
 /// of a single inline generate(). Each non-comment line of FILE is one
 /// request: "<C-A-B spec> [uniform-extent]"; a bad extent or a third token
 /// is that line's typed InvalidSpec failure. --jobs N sets the worker
-/// count (default 4), --request-deadline-ms M gives every request a
-/// wall-clock budget (deadline-pressured requests degrade to cheaper
-/// fallback rungs rather than failing). One summary line per request goes
-/// to stderr; --quiet keeps only the final tally.
+/// count (default 4; 1 to 256, else a usage error), --request-deadline-ms
+/// M gives every request a wall-clock budget (deadline-pressured requests
+/// degrade to cheaper fallback rungs rather than failing). One summary
+/// line per request goes to stderr; --quiet keeps only the final tally.
 ///
 /// Batch-mode observability: --telemetry-json FILE writes the service's
 /// telemetry snapshot (counters, gauges, latency/queue-wait histograms
@@ -127,7 +125,7 @@ static void printUsage(const char *Argv0) {
                "[--smem-per-block N] [--transaction-bytes N] "
                "[--chaos-seed N] [--chaos-sites LIST] "
                "[--lint=off|warn|strict] [--explain-lint] "
-               "[--explain-races] [--explain-dataflow] [--pressure-ranking] "
+               "[--explain-races] [--explain-dataflow] "
                "[--trace=FILE] "
                "[--metrics=FILE] [--quiet]\n"
                "       %s --batch-file FILE [--jobs N] "
@@ -154,6 +152,9 @@ static std::optional<T> parseNumber(const std::string &Text, bool Positive) {
     return std::nullopt;
   return Value;
 }
+
+/// Upper bound on --jobs: each job is one service worker thread.
+static constexpr unsigned MaxJobs = 256;
 
 /// Writes \p Content to \p Path; false on any I/O failure.
 static bool writeFileOrComplain(const std::string &Path,
@@ -393,8 +394,13 @@ int main(int Argc, char **Argv) {
         return 2;
       SawStatsInterval = true;
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      if (!numberArg(Jobs, "--jobs", Argv[++I]))
+      if (!numberArg(Jobs, "--jobs", Argv[++I], /*Positive=*/true))
         return 2;
+      if (Jobs > MaxJobs) {
+        std::fprintf(stderr, "error: --jobs must be at most %u, got %u\n",
+                     MaxJobs, Jobs);
+        return 2;
+      }
     } else if (Arg == "--request-deadline-ms" && I + 1 < Argc) {
       if (!numberArg(RequestDeadlineMs, "--request-deadline-ms", Argv[++I]))
         return 2;
@@ -410,8 +416,6 @@ int main(int Argc, char **Argv) {
       ExplainRaces = true;
     } else if (Arg == "--explain-dataflow") {
       ExplainDataflow = true;
-    } else if (Arg == "--pressure-ranking") {
-      Options.PressureAwareRanking = true;
     } else if (std::string LintArg;
                fileArg("--lint", Argc, Argv, &I, &LintArg)) {
       std::optional<analysis::LintMode> Mode =

@@ -15,7 +15,6 @@
 #include <functional>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 using namespace cogent;
 using namespace cogent::analysis;
@@ -72,8 +71,8 @@ struct LintContext {
   const KernelModel &M;
   const LintOptions &Opts;
   std::vector<LintFinding> &Findings;
-  /// Defines + extent parameters + every top-level scalar that evaluates
-  /// (stride variables, nt_/ns_ factors, totalBlocks, numSteps).
+  /// buildAmbient's folded constants (defines, extents, stride variables,
+  /// nt_/ns_ factors).
   Env Ambient;
 
   void report(LintPass Pass, unsigned Line, std::string Message,
@@ -81,28 +80,6 @@ struct LintContext {
     Findings.push_back({Pass, Severity, Line, std::move(Message)});
   }
 };
-
-Env buildAmbient(const KernelPlan &Plan, const KernelModel &M) {
-  Env E;
-  for (const auto &[Name, Value] : M.Defines)
-    E[Name] = Value;
-  for (char Name : Plan.contraction().allIndices())
-    E[std::string("N_") + Name] = Plan.contraction().extent(Name);
-  // A scalar assigned at more than one site (the double-buffer parity, a
-  // step base declared in both the prologue and the steady state) takes a
-  // different value per iteration: folding it in program order would pin
-  // it to whichever value came last, so it stays symbolic.
-  std::unordered_map<std::string, unsigned> Sites;
-  forEachStmt(M.Body, [&](const Stmt &S) {
-    if (S.Kind == StmtKind::Decl || S.Kind == StmtKind::Assign)
-      ++Sites[S.Name];
-  });
-  forEachStmt(M.Body, [&](const Stmt &S) {
-    if (isScalarStmt(S) && Sites[S.Name] == 1)
-      execScalar(S, E); // Per-thread statements simply fail to apply.
-  });
-  return E;
-}
 
 //===----------------------------------------------------------------------===//
 // ResourceDecl pass
@@ -884,7 +861,7 @@ LintReport cogent::analysis::lintKernel(const KernelPlan &Plan,
         {LintPass::Structure, LintSeverity::Error, Issue.Line, Issue.Message});
 
   LintContext Ctx{Plan, *Model, Options, Report.Findings,
-                  buildAmbient(Plan, *Model)};
+                  buildAmbient(*Model, Plan.contraction())};
   passBankConflict(Ctx);
   passCoalescing(Ctx);
   passBoundsCheck(Ctx);

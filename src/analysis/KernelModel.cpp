@@ -6,6 +6,8 @@
 
 #include "analysis/KernelModel.h"
 
+#include "ir/Contraction.h"
+
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
@@ -882,6 +884,27 @@ void cogent::analysis::forEachStmt(
     if (!S.Body.empty())
       forEachStmt(S.Body, Fn);
   }
+}
+
+Env cogent::analysis::buildAmbient(const KernelModel &M,
+                                   const ir::Contraction &TC) {
+  Env E;
+  for (const auto &[Name, Value] : M.Defines)
+    E[Name] = Value;
+  for (char Name : TC.allIndices())
+    E[std::string("N_") + Name] = TC.extent(Name);
+  std::unordered_map<std::string, unsigned> Sites, Updates;
+  forEachStmt(M.Body, [&](const Stmt &S) {
+    if (S.Kind == StmtKind::Decl || S.Kind == StmtKind::Assign)
+      ++Sites[S.Name];
+    else if (isScalarStmt(S))
+      ++Updates[S.Name];
+  });
+  forEachStmt(M.Body, [&](const Stmt &S) {
+    if (isScalarStmt(S) && Sites[S.Name] == 1 && Updates.count(S.Name) == 0)
+      execScalar(S, E);
+  });
+  return E;
 }
 
 void cogent::analysis::forEachIndexExpr(

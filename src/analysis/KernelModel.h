@@ -37,6 +37,9 @@
 #include <vector>
 
 namespace cogent {
+namespace ir {
+class Contraction;
+} // namespace ir
 namespace analysis {
 
 //===----------------------------------------------------------------------===//
@@ -206,6 +209,15 @@ struct KernelModel {
 /// as ErrorCode::VerificationFailed; recoverable oddities are collected in
 /// KernelModel::Issues for the Structure pass.
 ErrorOr<KernelModel> parseKernelSource(const std::string &KernelSource);
+
+/// The constants every analysis of \p M may fold: the #defines, the
+/// N_<index> extents of \p TC, and, in program order, each scalar with
+/// exactly one Decl/Assign site and no `*=`/`/=` update. A scalar assigned
+/// at more than one site or updated in place (the double-buffer parity, a
+/// step base declared in both the prologue and the steady state, a linear
+/// cursor) takes a different value per iteration, so it stays symbolic;
+/// per-thread scalars simply fail to evaluate.
+Env buildAmbient(const KernelModel &M, const ir::Contraction &TC);
 
 } // namespace analysis
 } // namespace cogent

@@ -333,7 +333,7 @@ UniformityInfo analyzeUniformity(const KernelModel &M,
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Ambient, definition index, ranges
+// Definition index, ranges
 //===----------------------------------------------------------------------===//
 
 /// Defs/compound-def census plus, per first-defined name, the stack of
@@ -389,24 +389,6 @@ void indexDefs(const std::vector<Stmt> &Body,
       break;
     }
   }
-}
-
-/// Ambient restricted to single-assignment scalars: the lint ambient folds
-/// every statement in program order, which would turn loop-carried values
-/// (the double-buffer parity, linear cursors) into whichever constant the
-/// last fold produced and silently corrupt both sides of a pair.
-Env buildProverAmbient(const KernelPlan &Plan, const KernelModel &M,
-                       const DefIndex &DI) {
-  Env E;
-  for (const auto &[Name, Value] : M.Defines)
-    E[Name] = Value;
-  for (char Name : Plan.contraction().allIndices())
-    E[std::string("N_") + Name] = Plan.contraction().extent(Name);
-  forEachStmt(M.Body, [&](const Stmt &S) {
-    if (isScalarStmt(S) && DI.singleDef(S.Name))
-      execScalar(S, E);
-  });
-  return E;
 }
 
 struct ValueRange {
@@ -1618,7 +1600,7 @@ RaceReport Prover::run() {
   divergenceWalk(M.Body, Uniformity::Uniform, std::string());
   std::vector<const Stmt *> LoopStack;
   indexDefs(M.Body, LoopStack, DI);
-  Ambient = buildProverAmbient(Plan, M, DI);
+  Ambient = buildAmbient(M, Plan.contraction());
   RC = std::make_unique<RangeCtx>(RangeCtx{M, Ambient, DI, {}, {}});
   findGroups(M.Body, M, Ambient, Groups);
   walk(M.Body);

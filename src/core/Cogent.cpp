@@ -232,9 +232,6 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     KernelConfig Config;
     TransactionCost Cost;
     gpu::OccupancyResult Occ;
-    /// Occupancy under planRegisterPressure; equals Occ unless
-    /// PressureAwareRanking recomputed it.
-    gpu::OccupancyResult RankOcc;
   };
 
   // Rank the candidates that pass verification by modeled DRAM
@@ -270,26 +267,20 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
       if (!CostOk)
         continue;
       R.Occ = planOccupancy(Plan, Run, Options.ElementSize);
-      R.RankOcc = Options.PressureAwareRanking
-                      ? planOccupancyUnderPressure(Plan, Run,
-                                                   Options.ElementSize)
-                      : R.Occ;
       R.Config = std::move(Config);
       Ranking.push_back(std::move(R));
     }
-    // Pressure-aware mode sinks configurations whose refined register
-    // footprint cannot be resident at all, and breaks cost ties with the
-    // pressure-derived occupancy instead of the flat one.
+    // Configurations that cannot be resident at all sink to the end.
     std::stable_sort(Ranking.begin(), Ranking.end(),
                      [](const Ranked &X, const Ranked &Y) {
-                       bool XUnfit = X.RankOcc.BlocksPerSM == 0;
-                       bool YUnfit = Y.RankOcc.BlocksPerSM == 0;
+                       bool XUnfit = X.Occ.BlocksPerSM == 0;
+                       bool YUnfit = Y.Occ.BlocksPerSM == 0;
                        if (XUnfit != YUnfit)
                          return YUnfit;
                        if (X.Cost.total() != Y.Cost.total())
                          return X.Cost.total() < Y.Cost.total();
-                       if (X.RankOcc.Occupancy != Y.RankOcc.Occupancy)
-                         return X.RankOcc.Occupancy > Y.RankOcc.Occupancy;
+                       if (X.Occ.Occupancy != Y.Occ.Occupancy)
+                         return X.Occ.Occupancy > Y.Occ.Occupancy;
                        return X.Config.threadsPerBlock() >
                               Y.Config.threadsPerBlock();
                      });
@@ -307,7 +298,6 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
   LintOpts.ElementSize = Options.ElementSize;
   LintOpts.TransactionBytes = Run.TransactionBytes;
   LintOpts.RegisterBudget = Run.MaxRegistersPerThread;
-  Result.PressureRanking = Options.PressureAwareRanking;
   auto NoteLintRejection = [&](const analysis::LintReport &Report) {
     ++NumLintRejections;
     if (Result.LintNotes.size() < 8 && !Report.Findings.empty())
@@ -594,7 +584,6 @@ std::string cogent::core::renderMetricsJson(const Contraction &TC,
   W.member("lint_rejections", Result.lintRejections());
   W.member("race_findings", Result.raceFindings());
   W.member("race_rejections", Result.raceRejections());
-  W.member("pressure_ranking", Result.PressureRanking);
 
   W.key("lint_findings");
   W.beginArray();

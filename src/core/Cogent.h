@@ -114,14 +114,6 @@ struct CogentOptions {
   /// away. Each is orders of magnitude cheaper than a full search, at the
   /// cost of plan quality — a degraded answer instead of a deadline miss.
   FallbackLevel StartRung = FallbackLevel::None;
-  /// When true, ranking uses planOccupancyUnderPressure — the occupancy
-  /// term is computed from planRegisterPressure's refined per-thread
-  /// estimate instead of KernelConfig's flat one, demoting configurations
-  /// whose real register pressure caps residency. Off by default: the
-  /// refined estimates are always *reported* (GeneratedKernel::
-  /// PlanPressure/SourcePressure, metrics JSON), but only reorder the
-  /// ranking behind this knob (cogent_cli --pressure-ranking).
-  bool PressureAwareRanking = false;
 };
 
 /// One materialized kernel: its mapping, emitted source and model outputs.
@@ -194,9 +186,6 @@ struct GenerationResult {
   /// after enumeration (so ranking/verification saw tighter limits than
   /// the search did).
   bool DeviceMutated = false;
-  /// True when CogentOptions::PressureAwareRanking reordered this run's
-  /// ranking (echoed into the metrics JSON so reports are self-describing).
-  bool PressureRanking = false;
 
   bool empty() const { return Kernels.empty(); }
 

@@ -255,18 +255,6 @@ unsigned cogent::core::planRegisterPressure(const KernelPlan &Plan,
   return static_cast<unsigned>(std::min<int64_t>(Total, 512));
 }
 
-gpu::OccupancyResult
-cogent::core::planOccupancyUnderPressure(const KernelPlan &Plan,
-                                         const gpu::DeviceSpec &Device,
-                                         unsigned ElementSize) {
-  gpu::BlockResources Block;
-  Block.ThreadsPerBlock = static_cast<unsigned>(Plan.threadsPerBlock());
-  Block.SharedMemBytes =
-      static_cast<unsigned>(Plan.config().smemBytes(ElementSize));
-  Block.RegistersPerThread = planRegisterPressure(Plan, ElementSize);
-  return gpu::computeOccupancy(Device, Block);
-}
-
 gpu::KernelProfile
 cogent::core::makeKernelProfile(const KernelPlan &Plan,
                                 const gpu::DeviceSpec &Device,

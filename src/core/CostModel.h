@@ -78,14 +78,6 @@ gpu::OccupancyResult planOccupancy(const KernelPlan &Plan,
 /// test_kernel_dataflow). Capped at 512 like the flat estimate.
 unsigned planRegisterPressure(const KernelPlan &Plan, unsigned ElementSize);
 
-/// planOccupancy with BlockResources::RegistersPerThread taken from
-/// planRegisterPressure instead of the flat estimate: the occupancy term
-/// used when CogentOptions::PressureAwareRanking is enabled, demoting
-/// configurations whose real pressure caps residency.
-gpu::OccupancyResult planOccupancyUnderPressure(const KernelPlan &Plan,
-                                                const gpu::DeviceSpec &Device,
-                                                unsigned ElementSize);
-
 /// Average shared-memory bank-conflict multiplier of the compute phase's
 /// register-staging loads (1.0 = conflict-free or pure broadcast). Lanes of
 /// a warp that read distinct shared-memory words falling in the same bank

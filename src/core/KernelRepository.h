@@ -69,24 +69,6 @@ public:
   const KernelVersion &
   selectFor(const std::vector<std::pair<char, int64_t>> &ActualExtents) const;
 
-  /// Writes the repository's representative-size list as a versioned,
-  /// checksummed text cache ("COGENTREPO v2" header, one FNV-1a-guarded
-  /// line per entry). Kernels are not serialized: generation is
-  /// deterministic, so an entry re-generates from its extents on load.
-  /// ErrorCode::CorruptCache when the file cannot be written.
-  ErrorOr<void> saveToFile(const std::string &Path) const;
-
-  /// Loads a cache written by saveToFile, re-generating one version per
-  /// intact entry and returning how many were loaded. A missing/unreadable
-  /// file or a wrong/missing version header is an ErrorCode::CorruptCache
-  /// error; a corrupt, truncated or checksum-mismatched *entry* is
-  /// appended to \p Warnings (if non-null) as a CorruptCache diagnostic and
-  /// skipped — a cache miss, never a crash and never silent reuse of bad
-  /// data. Entries whose spec disagrees with this repository's are rejected
-  /// the same way.
-  ErrorOr<size_t> loadFromFile(const std::string &Path,
-                               std::vector<Error> *Warnings = nullptr);
-
 private:
   const Cogent &Generator;
   std::string Spec;
@@ -95,7 +77,7 @@ private:
 };
 
 /// 64-bit FNV-1a over \p Data: cheap and stable across platforms. It keys
-/// the cache shards, checksums on-disk entries and digests emitted sources
+/// the cache shards, checksums cached entries and digests emitted sources
 /// for the golden selection table (integrity, not authentication).
 uint64_t fnv1a(const std::string &Data);
 
@@ -121,12 +103,9 @@ std::string contractionSignature(
 /// Integrity: every entry carries an FNV-1a checksum of its kernel source
 /// and configuration, validated on every hit. A mismatch (bit rot, or the
 /// repository-corrupt chaos site) quarantines the entry — it is evicted
-/// and counted, its shard is marked suspect, and the lookup proceeds as a
-/// CorruptCache-style miss that regenerates a fresh, fully verified plan.
-/// Corruption never crosses a shard boundary: only the owning shard's
-/// entries are evicted or rescanned. rebuildQuarantined() is the
-/// background-repair hook: it rescans every suspect shard, evicts any
-/// further corrupt entries and regenerates all evicted signatures.
+/// and counted, and the lookup proceeds as a miss that regenerates a
+/// fresh, fully verified plan. Corruption never crosses a shard boundary:
+/// only the owning shard's entry is evicted.
 class ShardedKernelRepository {
 public:
   ShardedKernelRepository(const Cogent &Generator, size_t NumShards = 16,
@@ -167,13 +146,6 @@ public:
                 const std::vector<std::pair<char, int64_t>> &Extents,
                 const CogentOptions *Override = nullptr);
 
-  /// Rescans every shard marked suspect by a quarantine, evicts entries
-  /// whose checksums no longer match, regenerates every evicted signature
-  /// and clears the suspect marks. Returns how many entries were rebuilt.
-  /// Intended for a background/repair thread; safe concurrently with
-  /// lookups.
-  size_t rebuildQuarantined();
-
   size_t numShards() const { return Shards.size(); }
   /// Total cached entries across all shards.
   size_t size() const;
@@ -181,26 +153,22 @@ public:
   size_t shardSize(size_t I) const;
   /// Which shard \p Signature maps to.
   size_t shardOf(const std::string &Signature) const;
-  /// Shards currently marked suspect (quarantined since the last rebuild).
-  size_t suspectShards() const;
 
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
   uint64_t quarantined() const {
     return Quarantined.load(std::memory_order_relaxed);
   }
-  uint64_t rebuilt() const { return Rebuilt.load(std::memory_order_relaxed); }
 
   /// Mirrors the cache's tallies into \p Registry under "cache." names:
-  /// hits/misses/quarantined/rebuilt as monotonic counters (bridgeTo, so
-  /// repeated mirroring is idempotent), size/suspect-shards as gauges.
-  /// The atomics above are the store; this is their only export. The
-  /// service's telemetry exporters call this before every render.
+  /// hits/misses/quarantined as monotonic counters (bridgeTo, so repeated
+  /// mirroring is idempotent), size as a gauge. The atomics above are the
+  /// store; this is their only export. The service's telemetry snapshot
+  /// calls this before every render.
   void mirrorMetrics(support::MetricRegistry &Registry) const;
 
 private:
   struct Entry {
-    std::vector<std::pair<char, int64_t>> Extents;
     GeneratedKernel Kernel;
     FallbackLevel Fallback = FallbackLevel::None;
     uint64_t Checksum = 0;
@@ -208,8 +176,6 @@ private:
   struct Shard {
     mutable std::mutex Lock;
     std::unordered_map<std::string, Entry> Entries;
-    /// Set when a quarantine happened here; cleared by rebuildQuarantined.
-    bool Suspect = false;
   };
 
   ErrorOr<Lookup>
@@ -224,7 +190,6 @@ private:
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> Quarantined{0};
-  std::atomic<uint64_t> Rebuilt{0};
 };
 
 } // namespace core

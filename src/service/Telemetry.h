@@ -28,9 +28,8 @@
 /// ServiceTelemetry also owns the service's MetricRegistry
 /// (support/Metrics.h), the one store of the service's counters (its own
 /// event tallies, the service's request tallies), latency/queue-wait
-/// histograms and liveness gauges, exported as a JSON snapshot and as
-/// Prometheus text by GenerationService::telemetrySnapshot()/
-/// telemetryPrometheus().
+/// histograms and liveness gauges, exported as a JSON snapshot by
+/// GenerationService::telemetrySnapshot().
 ///
 //===----------------------------------------------------------------------===//
 

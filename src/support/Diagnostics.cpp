@@ -26,8 +26,6 @@ const char *cogent::errorCodeName(ErrorCode Code) {
     return "InvalidDeviceSpec";
   case ErrorCode::VerificationFailed:
     return "VerificationFailed";
-  case ErrorCode::CorruptCache:
-    return "CorruptCache";
   case ErrorCode::DeadlineExceeded:
     return "DeadlineExceeded";
   case ErrorCode::Overloaded:
@@ -54,7 +52,6 @@ bool cogent::isTransient(ErrorCode Code) {
   switch (Code) {
   case ErrorCode::Overloaded:
   case ErrorCode::QueueFull:
-  case ErrorCode::CorruptCache:
   case ErrorCode::VerificationFailed:
     return true;
   case ErrorCode::Unknown:

@@ -48,9 +48,6 @@ enum class ErrorCode {
   /// A KernelPlan (or emitted source) failed the PlanVerifier's invariant
   /// checks and no fallback rung could absorb the failure.
   VerificationFailed,
-  /// An on-disk repository cache entry was corrupt, truncated or written
-  /// by an incompatible version (always a cache miss, never silent reuse).
-  CorruptCache,
   /// A request's wall-clock deadline was already spent before any work
   /// could begin (deadlines that expire mid-run degrade to cheaper
   /// fallback rungs instead — see service::GenerationService).
@@ -69,7 +66,7 @@ enum class ErrorCode {
 
 /// Number of ErrorCode enumerators; keep in sync when extending the enum
 /// (the name-table round-trip test walks [0, NumErrorCodes)).
-inline constexpr unsigned NumErrorCodes = 13;
+inline constexpr unsigned NumErrorCodes = 12;
 
 /// Stable identifier string, e.g. "InvalidSpec".
 const char *errorCodeName(ErrorCode Code);
@@ -79,10 +76,9 @@ std::optional<ErrorCode> errorCodeFromName(const std::string &Name);
 
 /// Transient/permanent classification, the retry policy's oracle: true for
 /// failures where an identical retry has a real chance of succeeding —
-/// load shedding (Overloaded, QueueFull), cache corruption absorbed as a
-/// miss (CorruptCache), and verification failures (VerificationFailed,
-/// which injected faults and mid-run device mutations can cause and a
-/// re-run can rescue). Everything input-shaped (InvalidSpec,
+/// load shedding (Overloaded, QueueFull) and verification failures
+/// (VerificationFailed, which injected faults and mid-run device mutations
+/// can cause and a re-run can rescue). Everything input-shaped (InvalidSpec,
 /// ExtentOverflow, InvalidDeviceSpec, ...), budget-shaped
 /// (BudgetExceeded, DeadlineExceeded) or terminal (ServiceStopped) is
 /// permanent: retrying cannot change the outcome.

@@ -55,8 +55,8 @@ enum class ChaosSite : unsigned {
   SimTrafficSkew,
   /// refineTopKBySimulation perturbs measured GFLOPS (hostile autotuner).
   AutotuneMisrank,
-  /// KernelRepository::loadFromFile sees corrupted bytes while parsing a
-  /// cache entry (bit rot / truncated write on disk).
+  /// ShardedKernelRepository corrupts a stored plan-cache entry before
+  /// its checksum is checked on a hit (bit rot in the in-memory store).
   RepositoryCorrupt,
   /// Cogent::generate's working DeviceSpec shrinks mid-search (hostile
   /// driver reporting different limits than the search assumed).

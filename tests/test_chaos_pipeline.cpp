@@ -11,15 +11,13 @@
 /// under fault — every run terminates within its GenerationBudget, every
 /// returned plan passes the PlanVerifier against the real device, and
 /// every injected fault is visible in GenerationResult::Counters. Also
-/// pins determinism (same seed => same faults => same result) and the
-/// repository cache's behavior under injected bit rot.
+/// pins determinism (same seed => same faults => same result).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/KernelLint.h"
 #include "core/Cogent.h"
 #include "core/KernelPlan.h"
-#include "core/KernelRepository.h"
 #include "support/FaultInjection.h"
 #include "verify/PlanVerifier.h"
 
@@ -194,48 +192,6 @@ TEST(ChaosPipeline, SitesAreIndependent) {
     ASSERT_TRUE(R1.hasValue() && R2.hasValue());
     EXPECT_EQ(R1->DeviceMutated, R2->DeviceMutated) << "seed " << Seed;
   }
-}
-
-TEST(ChaosPipeline, RepositoryCacheSurvivesInjectedBitRot) {
-  // Injected corruption of the on-disk cache must always resolve to a
-  // typed error or a warned cache miss — never a crash, never silent
-  // acceptance of corrupt entries.
-  Cogent Generator(gpu::makeV100());
-  std::string Path = ::testing::TempDir() + "cogent_chaos_repo.cache";
-  {
-    core::KernelRepository Repo(Generator, "ij-ik-kj");
-    ASSERT_TRUE(Repo.addRepresentativeUniform(32).hasValue());
-    ASSERT_TRUE(Repo.addRepresentativeUniform(256).hasValue());
-    ASSERT_TRUE(Repo.saveToFile(Path).hasValue());
-  }
-
-  unsigned CleanLoads = 0, Rejections = 0;
-  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
-    support::ChaosOptions Chaos;
-    Chaos.Seed = Seed;
-    Chaos.Sites = support::chaosSiteBit(ChaosSite::RepositoryCorrupt);
-    support::FaultInjector Injector(Chaos);
-    support::ScopedChaosActivation Activation(&Injector);
-
-    core::KernelRepository Repo(Generator, "ij-ik-kj");
-    std::vector<Error> Warnings;
-    ErrorOr<size_t> Loaded = Repo.loadFromFile(Path, &Warnings);
-    if (!Loaded) {
-      // The injected rot hit the version header: full typed miss.
-      EXPECT_EQ(Loaded.errorCode(), ErrorCode::CorruptCache);
-      ++Rejections;
-      continue;
-    }
-    EXPECT_EQ(Repo.numVersions(), *Loaded);
-    for (const Error &W : Warnings)
-      EXPECT_EQ(W.code(), ErrorCode::CorruptCache);
-    if (Injector.fired(ChaosSite::RepositoryCorrupt) == 0 &&
-        Warnings.empty() && *Loaded == 2)
-      ++CleanLoads;
-  }
-  // With FireProbability 0.25 over 40 seeds, both outcomes must occur.
-  EXPECT_GT(Rejections, 0u);
-  EXPECT_GT(CleanLoads, 0u);
 }
 
 TEST(ChaosPipeline, CodegenMutateIsCaughtByTheStrictLintGate) {

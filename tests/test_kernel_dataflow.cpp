@@ -15,8 +15,6 @@
 ///     the race prover's barrier intervals) no redundant barriers — and
 ///     its liveness-derived register pressure agrees with
 ///     planRegisterPressure within PressureToleranceRegs;
-///   - enabling pressure-aware ranking never selects a plan the
-///     PlanVerifier rejects.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -243,32 +241,6 @@ TEST(KernelDataflow, SeedSuiteIsDataflowCleanOnBothDevices) {
       EXPECT_EQ(Kernel.SourcePressure, SourceEstimate) << Entry.Name;
       EXPECT_EQ(Kernel.PlanPressure, PlanEstimate) << Entry.Name;
     }
-  }
-}
-
-TEST(KernelDataflow, PressureRankingSelectsOnlyVerifiedPlans) {
-  gpu::DeviceSpec Device = gpu::makeV100();
-  core::Cogent Generator(Device);
-  verify::PlanVerifier Verifier(Device, 8);
-  for (const suite::SuiteEntry &Entry : suite::tccgSuite()) {
-    Contraction TC = Entry.contractionScaled(24);
-    core::CogentOptions Options;
-    Options.PressureAwareRanking = true;
-    ErrorOr<core::GenerationResult> Result = Generator.generate(TC, Options);
-    ASSERT_TRUE(Result.hasValue()) << Entry.Name;
-    EXPECT_TRUE(Result->PressureRanking);
-    const Contraction &PlanTC =
-        Result->Fallback == core::FallbackLevel::TtgtBaseline
-            ? *Result->FallbackContraction
-            : TC;
-    for (const core::GeneratedKernel &Kernel : Result->Kernels) {
-      core::KernelPlan Plan(PlanTC, Kernel.Config);
-      EXPECT_TRUE(Verifier.verifyPlan(Plan).hasValue()) << Entry.Name;
-    }
-    // The metrics JSON is self-describing about the ranking mode.
-    std::string Json = core::renderMetricsJson(TC, *Result, Device);
-    EXPECT_NE(Json.find("\"pressure_ranking\":true"), std::string::npos);
-    EXPECT_NE(Json.find("\"register_pressure_plan\""), std::string::npos);
   }
 }
 

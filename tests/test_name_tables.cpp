@@ -171,7 +171,7 @@ TEST(NameTables, ErrorCodeTransienceIsTotalAndPinned) {
   // a new enumerator (or an accidental reclassification) fails here
   // rather than silently changing what the service retries.
   const std::set<ErrorCode> Transient = {
-      ErrorCode::Overloaded, ErrorCode::QueueFull, ErrorCode::CorruptCache,
+      ErrorCode::Overloaded, ErrorCode::QueueFull,
       ErrorCode::VerificationFailed};
   for (unsigned I = 0; I < NumErrorCodes; ++I) {
     auto Code = static_cast<ErrorCode>(I);
