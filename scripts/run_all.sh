@@ -286,3 +286,14 @@ for workload in $perf_workloads; do
   cp "perf_artifacts/BENCH_${workload}.json" "BENCH_${workload}.json"
 done
 echo "refreshed BENCH_<workload>.json from this run"
+
+# Coverage lane (non-gating): scripts/coverage_surface.sh rebuilds a
+# --coverage tree, drives the production surface and rewrites
+# data/coverage_surface.txt, the sorted list of src/ functions no
+# production path calls. A change in that file is reviewed like any other
+# diff; a failure of the survey itself never fails this script.
+if scripts/coverage_surface.sh build-coverage; then
+  echo "coverage lane: data/coverage_surface.txt refreshed"
+else
+  echo "coverage lane: survey failed (non-gating)"
+fi

@@ -101,11 +101,8 @@ std::string RequestEvent::toJson() const {
 
 ServiceTelemetry::ServiceTelemetry(TelemetryOptions Options)
     : Options(std::move(Options)), Epoch(std::chrono::steady_clock::now()),
-      Recorded(Registry.counter("telemetry.events-recorded",
-                                "lifecycle events recorded")),
-      Dropped(Registry.counter("telemetry.events-dropped",
-                               "events evicted from the bounded in-memory "
-                               "ring")) {
+      Recorded(Registry.counter("telemetry.events-recorded")),
+      Dropped(Registry.counter("telemetry.events-dropped")) {
   if (this->Options.EventCapacity == 0)
     this->Options.EventCapacity = 1;
   if (!this->Options.EventLogJsonlPath.empty())
