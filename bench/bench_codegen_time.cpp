@@ -19,6 +19,7 @@
 #include "core/KernelPlan.h"
 #include "gpu/DeviceSpec.h"
 #include "suite/TccgSuite.h"
+#include "verify/PlanVerifier.h"
 
 #include <benchmark/benchmark.h>
 
@@ -68,13 +69,32 @@ void BM_CostModelSingleConfig(benchmark::State &State) {
   ir::Contraction TC = entryContraction(31);
   core::Enumerator Enum(TC, Device);
   std::vector<core::KernelConfig> Configs = Enum.enumerate();
-  core::KernelPlan Plan(TC, Configs.front());
   for (auto _ : State) {
-    core::TransactionCost Cost = core::estimateTransactions(Plan, 8);
+    core::TransactionCost Cost =
+        core::estimateTransactions(TC, Configs.front(), 8);
     benchmark::DoNotOptimize(Cost);
   }
 }
 BENCHMARK(BM_CostModelSingleConfig);
+
+void BM_RankSd2_1(benchmark::State &State) {
+  gpu::DeviceSpec Device = gpu::makeV100();
+  ir::Contraction TC = entryContraction(31);
+  core::Enumerator Enum(TC, Device);
+  const std::vector<core::KernelConfig> Survivors = Enum.enumerate();
+  verify::PlanVerifier Verifier(Device, 8);
+  std::vector<core::KernelConfig> Candidates;
+  for (auto _ : State) {
+    // Ranking moves the accepted configs out; refill outside the timing.
+    State.PauseTiming();
+    Candidates = Survivors;
+    State.ResumeTiming();
+    std::vector<core::RankedCandidate> Ranking = core::rankCandidates(
+        TC, Candidates, Verifier, /*TopK=*/1, [](const Error &) {});
+    benchmark::DoNotOptimize(Ranking);
+  }
+}
+BENCHMARK(BM_RankSd2_1)->Unit(benchmark::kMicrosecond);
 
 void BM_EmitCudaSd2_1(benchmark::State &State) {
   gpu::DeviceSpec Device = gpu::makeV100();

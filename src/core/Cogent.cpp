@@ -148,6 +148,82 @@ Contraction buildTtgtGemm(const Contraction &TC) {
 
 } // namespace
 
+std::vector<RankedCandidate> cogent::core::rankCandidates(
+    const Contraction &TC, std::vector<KernelConfig> &Candidates,
+    const verify::PlanVerifier &Verifier, size_t TopK,
+    const std::function<void(const Error &)> &OnReject) {
+  NumKernelsRanked += Candidates.size();
+  const gpu::DeviceSpec &Device = Verifier.device();
+  unsigned ElementSize = Verifier.elementSize();
+
+  // One candidate's rank key. Index names its config in Candidates, so
+  // ordering moves small PODs, never a KernelConfig; as the last tie-break
+  // it makes the order reproduce a stable sort on the first three fields.
+  // A block that cannot be resident (BlocksPerSM == 0) needs no key of its
+  // own: it fails verifyPlan's resource checks, so the walk below skips it.
+  struct RankKey {
+    double Total;
+    double Occupancy;
+    int64_t Threads;
+    size_t Index;
+    TransactionCost Cost;
+    gpu::OccupancyResult Occ;
+  };
+  // A failed cost-sanity check re-estimates: a transiently lying cost model
+  // costs retries, not the candidate.
+  constexpr unsigned CostRetries = 4;
+  std::vector<RankKey> Keys;
+  Keys.reserve(Candidates.size());
+  for (size_t I = 0; I < Candidates.size(); ++I) {
+    const KernelConfig &Config = Candidates[I];
+    TransactionCost Cost;
+    bool CostOk = false;
+    for (unsigned Attempt = 0; Attempt < CostRetries && !CostOk; ++Attempt) {
+      Cost = estimateTransactions(TC, Config, ElementSize,
+                                  Device.TransactionBytes);
+      ErrorOr<void> CostCheck = Verifier.verifyCost(TC, Cost);
+      CostOk = CostCheck.hasValue();
+      if (!CostOk)
+        OnReject(CostCheck.error());
+    }
+    if (!CostOk)
+      continue;
+    gpu::OccupancyResult Occ = planOccupancy(Config, Device, ElementSize);
+    Keys.push_back(
+        {Cost.total(), Occ.Occupancy, Config.threadsPerBlock(), I, Cost, Occ});
+  }
+  // Ranks after: the heap below keeps the best key on top.
+  auto RanksAfter = [](const RankKey &X, const RankKey &Y) {
+    if (X.Total != Y.Total)
+      return X.Total > Y.Total;
+    if (X.Occupancy != Y.Occupancy)
+      return X.Occupancy < Y.Occupancy;
+    if (X.Threads != Y.Threads)
+      return X.Threads < Y.Threads;
+    return X.Index > Y.Index;
+  };
+
+  // Plans are built and verified lazily, in rank order: a rejected head
+  // demotes to the next key, and the walk stops once TopK passed. The keys
+  // form a total order, so popping a heap visits them exactly as sorting
+  // would, at O(log n) per visited key instead of a full sort.
+  std::make_heap(Keys.begin(), Keys.end(), RanksAfter);
+  std::vector<RankedCandidate> Ranking;
+  while (!Keys.empty() && Ranking.size() < TopK) {
+    std::pop_heap(Keys.begin(), Keys.end(), RanksAfter);
+    RankKey Key = Keys.back();
+    Keys.pop_back();
+    KernelConfig &Config = Candidates[Key.Index];
+    if (ErrorOr<void> PlanCheck = Verifier.verifyPlan(KernelPlan(TC, Config));
+        !PlanCheck) {
+      OnReject(PlanCheck.error());
+      continue;
+    }
+    Ranking.push_back({std::move(Config), Key.Cost, Key.Occ});
+  }
+  return Ranking;
+}
+
 ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
                                            CogentOptions Options) const {
   auto Start = std::chrono::steady_clock::now();
@@ -228,62 +304,14 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     support::traceInstant("cogent.verifier-reject", {{"error", E.message()}});
   };
 
-  struct Ranked {
-    KernelConfig Config;
-    TransactionCost Cost;
-    gpu::OccupancyResult Occ;
-  };
-
-  // Rank the candidates that pass verification by modeled DRAM
-  // transactions; tie-break toward higher occupancy, then more threads
-  // (determinism). A failed cost-sanity check re-estimates (a transiently
-  // lying cost model costs retries, not the candidate); a failed plan
-  // check drops the candidate outright.
+  // Rank on the cost model; only the accepted head gets a verified plan.
   auto rankVerified = [&](std::vector<KernelConfig> &Candidates,
                           const Contraction &RankTC) {
     support::TraceSpan Span("cogent.rank");
     Span.arg("candidates", std::to_string(Candidates.size()));
-    NumKernelsRanked += Candidates.size();
-    constexpr unsigned CostRetries = 4;
-    std::vector<Ranked> Ranking;
-    Ranking.reserve(Candidates.size());
-    for (KernelConfig &Config : Candidates) {
-      KernelPlan Plan(RankTC, Config);
-      if (ErrorOr<void> PlanCheck = Verifier.verifyPlan(Plan); !PlanCheck) {
-        NoteRejection(PlanCheck.error());
-        continue;
-      }
-      Ranked R;
-      bool CostOk = false;
-      for (unsigned Attempt = 0; Attempt < CostRetries && !CostOk;
-           ++Attempt) {
-        R.Cost = estimateTransactions(Plan, Options.ElementSize,
-                                      Run.TransactionBytes);
-        ErrorOr<void> CostCheck = Verifier.verifyCost(Plan, R.Cost);
-        CostOk = CostCheck.hasValue();
-        if (!CostOk)
-          NoteRejection(CostCheck.error());
-      }
-      if (!CostOk)
-        continue;
-      R.Occ = planOccupancy(Plan, Run, Options.ElementSize);
-      R.Config = std::move(Config);
-      Ranking.push_back(std::move(R));
-    }
-    // Configurations that cannot be resident at all sink to the end.
-    std::stable_sort(Ranking.begin(), Ranking.end(),
-                     [](const Ranked &X, const Ranked &Y) {
-                       bool XUnfit = X.Occ.BlocksPerSM == 0;
-                       bool YUnfit = Y.Occ.BlocksPerSM == 0;
-                       if (XUnfit != YUnfit)
-                         return YUnfit;
-                       if (X.Cost.total() != Y.Cost.total())
-                         return X.Cost.total() < Y.Cost.total();
-                       if (X.Occ.Occupancy != Y.Occ.Occupancy)
-                         return X.Occ.Occupancy > Y.Occ.Occupancy;
-                       return X.Config.threadsPerBlock() >
-                              Y.Config.threadsPerBlock();
-                     });
+    std::vector<RankedCandidate> Ranking =
+        rankCandidates(RankTC, Candidates, Verifier,
+                       std::max<size_t>(Options.TopK, 1), NoteRejection);
     Result.Phases.RankMs += Span.elapsedMs();
     return Ranking;
   };
@@ -311,7 +339,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
   // failed emission (e.g. injected truncation) is retried before the
   // candidate is given up on. Returns true when at least one kernel was
   // materialized — the rung succeeded.
-  auto emitVerified = [&](std::vector<Ranked> &Ranking,
+  auto emitVerified = [&](std::vector<RankedCandidate> &Ranking,
                           const Contraction &EmitTC) {
     support::TraceSpan Span("cogent.emit");
     constexpr unsigned EmitRetries = 6;
@@ -332,9 +360,9 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
         break;
       }
       GeneratedKernel Kernel;
-      Kernel.Config = Ranking[I].Config;
+      Kernel.Config = std::move(Ranking[I].Config);
       Kernel.Cost = Ranking[I].Cost;
-      Kernel.Occupancy = Ranking[I].Occ;
+      Kernel.Occupancy = Ranking[I].Occupancy;
       KernelPlan Plan(EmitTC, Kernel.Config);
       Kernel.PlanPressure = planRegisterPressure(Plan, Options.ElementSize);
       bool SourceOk = false;
@@ -395,7 +423,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
   // verified, emitted kernel demotes to the next.
   bool Done = false;
   if (!Configs.empty()) {
-    std::vector<Ranked> Ranking = rankVerified(Configs, TC);
+    std::vector<RankedCandidate> Ranking = rankVerified(Configs, TC);
     if (!Ranking.empty())
       Done = emitVerified(Ranking, TC);
     if (!Done)
@@ -413,7 +441,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
           {{"level", fallbackLevelName(FallbackLevel::MinimalTile)}});
       std::vector<KernelConfig> One;
       One.push_back(std::move(Minimal));
-      std::vector<Ranked> Ranking = rankVerified(One, TC);
+      std::vector<RankedCandidate> Ranking = rankVerified(One, TC);
       if (!Ranking.empty())
         Done = emitVerified(Ranking, TC);
       if (!Done)
@@ -438,7 +466,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     assert(GemmConfig.validate(Gemm).empty());
     std::vector<KernelConfig> One;
     One.push_back(std::move(GemmConfig));
-    std::vector<Ranked> Ranking = rankVerified(One, Gemm);
+    std::vector<RankedCandidate> Ranking = rankVerified(One, Gemm);
     if (!Ranking.empty())
       Done = emitVerified(Ranking, Gemm);
     Result.Phases.FallbackMs += Span.elapsedMs();

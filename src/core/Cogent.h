@@ -26,8 +26,10 @@
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/Trace.h"
+#include "verify/PlanVerifier.h"
 
 #include <cassert>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -172,6 +174,9 @@ struct GenerationResult {
   /// here as the "chaos.fired.*" entries, lint activity as "lint.*".
   support::CounterSnapshot Counters;
   /// Rendered messages of the first few verifier rejections, for reports.
+  /// Ranking verifies plans lazily (rankCandidates), so a candidate ranked
+  /// below the accepted TopK never has its plan checked and never appears
+  /// here; every candidate's cost is checked.
   std::vector<std::string> VerifierNotes;
   /// Lint findings attached to the *accepted* kernels: everything
   /// KernelLint reported in Warn mode, or warning-severity leftovers in
@@ -193,7 +198,9 @@ struct GenerationResult {
 
   /// Candidate plans/costs/sources the PlanVerifier rejected (each
   /// rejection either retried or demoted toward the next fallback rung,
-  /// never emitted): "verifier.rejections".
+  /// never emitted): "verifier.rejections". Costs are checked for every
+  /// ranked candidate, plans only in rank order until TopK pass, so plan
+  /// rejections below the accepted head are not counted.
   uint64_t verifierRejections() const;
   /// Emitted sources the strict lint gate rejected (each retried or
   /// demoted, never returned to the caller): "lint.rejections".
@@ -212,6 +219,33 @@ struct GenerationResult {
     return Kernels.front();
   }
 };
+
+/// One candidate that survived ranking, with the model outputs it was
+/// ranked on.
+struct RankedCandidate {
+  KernelConfig Config;
+  TransactionCost Cost;
+  gpu::OccupancyResult Occupancy;
+};
+
+/// Algorithm 3's selection among \p Candidates for \p TC on the verifier's
+/// device and element size. Rank order: fewer modeled transactions, then
+/// higher occupancy, then more threads per block, then enumeration order.
+///
+/// Every candidate is scored from its KernelConfig alone
+/// (estimateTransactions and planOccupancy's config overloads); its cost
+/// must pass Verifier.verifyCost within 4 estimates, or it is dropped.
+/// A KernelPlan is built and checked with Verifier.verifyPlan only in rank
+/// order, until \p TopK pass: a rejected candidate (among them every block
+/// that cannot be resident) is skipped, so the result equals the first
+/// TopK entries of ranking only the candidates whose plans verify. Each
+/// verifier rejection is passed to \p OnReject. The accepted configs are
+/// moved out of \p Candidates.
+std::vector<RankedCandidate>
+rankCandidates(const ir::Contraction &TC,
+               std::vector<KernelConfig> &Candidates,
+               const verify::PlanVerifier &Verifier, size_t TopK,
+               const std::function<void(const Error &)> &OnReject);
 
 /// The code generator, bound to one target device.
 class Cogent {

@@ -10,6 +10,7 @@
 #include "support/FaultInjection.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 using namespace cogent;
@@ -35,30 +36,77 @@ static double transactionsPerSlice(int64_t SliceElems, int64_t Run,
   return static_cast<double>(NumRuns) * static_cast<double>(TransPerRun);
 }
 
-TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
+/// cal_Cont of \p Op's tile, walked in \p Op's index order (FVI first): a
+/// dimension extends the run only while every faster one was covered in
+/// full. The same walk as KernelPlan::contiguousRun over its slice dims.
+static int64_t contiguousRunOf(const ir::Contraction &TC, Operand Op,
+                               const std::array<int64_t, 26> &Tile) {
+  int64_t Run = 1;
+  for (char Name : TC.indices(Op)) {
+    int64_t T = Tile[static_cast<size_t>(Name - 'a')];
+    Run *= T;
+    if (T < TC.extent(Name))
+      break;
+  }
+  return Run;
+}
+
+TransactionCost cogent::core::estimateTransactions(const ir::Contraction &TC,
+                                                   const KernelConfig &Config,
                                                    unsigned ElementSize,
                                                    unsigned TransactionBytes) {
   assert((ElementSize == 4 || ElementSize == 8) && "unsupported element size");
   ++NumCostEvaluations;
   int64_t ElemsPerTrans = TransactionBytes / ElementSize;
 
-  TransactionCost Cost;
-  double BlockSteps = static_cast<double>(Plan.numBlocks()) *
-                      static_cast<double>(Plan.numSteps());
-  Cost.LoadA = transactionsPerSlice(Plan.sliceElements(Operand::A),
-                                    Plan.contiguousRun(Operand::A),
-                                    ElemsPerTrans) *
-               BlockSteps;
-  Cost.LoadB = transactionsPerSlice(Plan.sliceElements(Operand::B),
-                                    Plan.contiguousRun(Operand::B),
-                                    ElemsPerTrans) *
-               BlockSteps;
+  // One tile per index name (unmapped indices keep tile 1), filled in one
+  // pass that also takes the TBx/TBy/RegX/RegY products of the C tile.
+  std::array<int64_t, 26> Tile;
+  Tile.fill(1);
+  auto fill = [&](const std::vector<IndexTile> &List) {
+    int64_t Product = 1;
+    for (const IndexTile &T : List) {
+      Tile[static_cast<size_t>(T.Name - 'a')] = T.Tile;
+      Product *= T.Tile;
+    }
+    return Product;
+  };
+  int64_t CSliceElems = fill(Config.TBx) * fill(Config.TBy) *
+                        fill(Config.RegX) * fill(Config.RegY);
+  fill(Config.TBk);
+  auto tileOf = [&](char Name) {
+    return Tile[static_cast<size_t>(Name - 'a')];
+  };
+  auto sliceElements = [&](Operand Op) {
+    int64_t Elems = 1;
+    for (char Name : TC.indices(Op))
+      Elems *= tileOf(Name);
+    return Elems;
+  };
+  // Blocks over C's (external) indices, steps over A's internal indices:
+  // KernelConfig::numThreadBlocks and numSteps, read from the table.
+  int64_t Blocks = 1, Steps = 1;
+  for (char Name : TC.indices(Operand::C))
+    Blocks *= ceilDiv(TC.extent(Name), tileOf(Name));
+  for (char Name : TC.indices(Operand::A))
+    if (TC.isInternal(Name))
+      Steps *= ceilDiv(TC.extent(Name), tileOf(Name));
 
-  int64_t CSliceElems =
-      Plan.tbX() * Plan.tbY() * Plan.regX() * Plan.regY();
-  Cost.StoreC =
-      transactionsPerSlice(CSliceElems, Plan.contiguousRunC(), ElemsPerTrans) *
-      static_cast<double>(Plan.numBlocks());
+  TransactionCost Cost;
+  double BlockSteps =
+      static_cast<double>(Blocks) * static_cast<double>(Steps);
+  Cost.LoadA = transactionsPerSlice(sliceElements(Operand::A),
+                                    contiguousRunOf(TC, Operand::A, Tile),
+                                    ElemsPerTrans) *
+               BlockSteps;
+  Cost.LoadB = transactionsPerSlice(sliceElements(Operand::B),
+                                    contiguousRunOf(TC, Operand::B, Tile),
+                                    ElemsPerTrans) *
+               BlockSteps;
+  Cost.StoreC = transactionsPerSlice(CSliceElems,
+                                     contiguousRunOf(TC, Operand::C, Tile),
+                                     ElemsPerTrans) *
+                static_cast<double>(Blocks);
   // Chaos site: a misranking cost model. All three components scale by one
   // factor so the lie is self-consistent; PlanVerifier::verifyCost catches
   // estimates perturbed below the compulsory-traffic bound.
@@ -70,6 +118,13 @@ TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
     Cost.StoreC *= Factor;
   }
   return Cost;
+}
+
+TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
+                                                   unsigned ElementSize,
+                                                   unsigned TransactionBytes) {
+  return estimateTransactions(Plan.contraction(), Plan.config(), ElementSize,
+                              TransactionBytes);
 }
 
 TransactionCost
@@ -224,15 +279,20 @@ double cogent::core::smemBankConflictFactor(const KernelPlan &Plan,
   return (XFactor + YFactor) / 2.0;
 }
 
-gpu::OccupancyResult cogent::core::planOccupancy(const KernelPlan &Plan,
+gpu::OccupancyResult cogent::core::planOccupancy(const KernelConfig &Config,
                                                  const gpu::DeviceSpec &Device,
                                                  unsigned ElementSize) {
   gpu::BlockResources Block;
-  Block.ThreadsPerBlock = static_cast<unsigned>(Plan.threadsPerBlock());
-  Block.SharedMemBytes =
-      static_cast<unsigned>(Plan.config().smemBytes(ElementSize));
-  Block.RegistersPerThread = Plan.config().registersPerThread(ElementSize);
+  Block.ThreadsPerBlock = static_cast<unsigned>(Config.threadsPerBlock());
+  Block.SharedMemBytes = static_cast<unsigned>(Config.smemBytes(ElementSize));
+  Block.RegistersPerThread = Config.registersPerThread(ElementSize);
   return gpu::computeOccupancy(Device, Block);
+}
+
+gpu::OccupancyResult cogent::core::planOccupancy(const KernelPlan &Plan,
+                                                 const gpu::DeviceSpec &Device,
+                                                 unsigned ElementSize) {
+  return planOccupancy(Plan.config(), Device, ElementSize);
 }
 
 unsigned cogent::core::planRegisterPressure(const KernelPlan &Plan,

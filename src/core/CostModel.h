@@ -37,6 +37,17 @@ struct TransactionCost {
 /// Implements Algorithm 3 for both inputs and the output store: the number
 /// of transactions per staged slice is the number of contiguous runs times
 /// the transactions per run, multiplied by steps and thread blocks.
+///
+/// Reads only \p Config's tiles and \p TC's index lists and extents, so
+/// ranking never materializes a KernelPlan. The slice sizes, cal_Cont runs,
+/// block and step counts are the ones KernelPlan derives for the same pair.
+/// \pre Config.validate(TC) returned an empty string.
+TransactionCost estimateTransactions(const ir::Contraction &TC,
+                                     const KernelConfig &Config,
+                                     unsigned ElementSize,
+                                     unsigned TransactionBytes = 128);
+
+/// Same estimate for the plan's own (contraction, config) pair.
 TransactionCost estimateTransactions(const KernelPlan &Plan,
                                      unsigned ElementSize,
                                      unsigned TransactionBytes = 128);
@@ -60,6 +71,11 @@ TransactionCost estimateTransactionsPaper(const KernelPlan &Plan,
 gpu::KernelProfile makeKernelProfile(const KernelPlan &Plan,
                                      const gpu::DeviceSpec &Device,
                                      unsigned ElementSize);
+
+/// Occupancy of \p Config's block footprint on \p Device.
+gpu::OccupancyResult planOccupancy(const KernelConfig &Config,
+                                   const gpu::DeviceSpec &Device,
+                                   unsigned ElementSize);
 
 /// Occupancy of \p Plan's block footprint on \p Device.
 gpu::OccupancyResult planOccupancy(const KernelPlan &Plan,

@@ -49,8 +49,9 @@ int64_t KernelConfig::numThreadBlocks(const ir::Contraction &TC) const {
 
 int64_t KernelConfig::numSteps(const ir::Contraction &TC) const {
   int64_t Steps = 1;
-  for (char Name : TC.internalIndices())
-    Steps *= ceilDiv(TC.extent(Name), tileOf(Name));
+  for (char Name : TC.indices(ir::Operand::A))
+    if (TC.isInternal(Name))
+      Steps *= ceilDiv(TC.extent(Name), tileOf(Name));
   return Steps;
 }
 

@@ -232,8 +232,6 @@ std::vector<char> Contraction::allIndices() const {
   return All;
 }
 
-std::vector<char> Contraction::externalIndices() const { return CIdx; }
-
 std::vector<char> Contraction::internalIndices() const {
   std::vector<char> Result;
   for (char C : AIdx)

@@ -112,8 +112,8 @@ public:
   /// order.
   std::vector<char> allIndices() const;
 
-  /// External indices in the order they appear in C.
-  std::vector<char> externalIndices() const;
+  /// External indices in the order they appear in C (C's index list).
+  const std::vector<char> &externalIndices() const { return CIdx; }
 
   /// Internal (contraction) indices in the order they appear in A.
   std::vector<char> internalIndices() const;

@@ -130,15 +130,15 @@ ErrorOr<void> PlanVerifier::verifyPlan(const core::KernelPlan &Plan) const {
   return {};
 }
 
-ErrorOr<void> PlanVerifier::verifyCost(const core::KernelPlan &Plan,
+ErrorOr<void> PlanVerifier::verifyCost(const ir::Contraction &TC,
                                        const core::TransactionCost &Cost)
     const {
   double Total = Cost.total();
   if (!std::isfinite(Total) || Cost.LoadA < 0.0 || Cost.LoadB < 0.0 ||
       Cost.StoreC < 0.0)
     return fail("transaction cost is not a finite non-negative number");
-  double LowerBound = transactionLowerBound(Plan.contraction(), ElementSize,
-                                            Device.TransactionBytes);
+  double LowerBound =
+      transactionLowerBound(TC, ElementSize, Device.TransactionBytes);
   // 1% slack plus half a transaction absorbs the bound's lack of per-run
   // ceil rounding; anything below that claims impossible traffic.
   if (Total + 0.5 < 0.99 * LowerBound)
@@ -146,6 +146,12 @@ ErrorOr<void> PlanVerifier::verifyCost(const core::KernelPlan &Plan,
                 " transactions is below the compulsory-traffic bound of " +
                 std::to_string(LowerBound));
   return {};
+}
+
+ErrorOr<void> PlanVerifier::verifyCost(const core::KernelPlan &Plan,
+                                       const core::TransactionCost &Cost)
+    const {
+  return verifyCost(Plan.contraction(), Cost);
 }
 
 ErrorOr<void> PlanVerifier::verifySource(const core::GeneratedSource &Source)

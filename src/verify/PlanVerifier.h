@@ -57,9 +57,14 @@ public:
   /// cost and source checks). ErrorCode::VerificationFailed on violation.
   ErrorOr<void> verifyPlan(const core::KernelPlan &Plan) const;
 
-  /// Sanity of a claimed transaction cost for \p Plan: finite,
-  /// non-negative, and >= the analytic lower bound (with a small slack for
-  /// rounding). Catches perturbed or corrupted cost-model outputs.
+  /// Sanity of a claimed transaction cost for a kernel computing \p TC:
+  /// finite, non-negative, and >= the analytic lower bound (with a small
+  /// slack for rounding). Catches perturbed or corrupted cost-model
+  /// outputs. Needs no plan, so ranking checks every candidate's cost.
+  ErrorOr<void> verifyCost(const ir::Contraction &TC,
+                           const core::TransactionCost &Cost) const;
+
+  /// verifyCost for \p Plan's contraction.
   ErrorOr<void> verifyCost(const core::KernelPlan &Plan,
                            const core::TransactionCost &Cost) const;
 
