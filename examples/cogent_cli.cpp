@@ -71,9 +71,10 @@
 ///
 /// Batch-mode observability: --telemetry-json FILE writes the service's
 /// telemetry snapshot (counters, gauges, latency/queue-wait histograms
-/// with p50/p90/p99/p999 — service/Telemetry.h) as one JSON object after
-/// the batch completes; --stats-interval-ms N prints a "# stats: {...}"
-/// one-line JSON progress dump to stderr every N ms while the batch runs.
+/// with p50/p90/p99/p999 — docs/ARCHITECTURE.md §16) as one JSON object
+/// after the batch completes; --stats-interval-ms N prints a
+/// "# stats: {...}" one-line JSON progress dump to stderr every N ms while
+/// the batch runs.
 /// Both flags require --batch-file (usage error otherwise).
 ///
 /// Exit codes: 0 = success — including runs where the plan verifier
@@ -261,7 +262,7 @@ static int runBatch(const std::string &BatchPath, const gpu::DeviceSpec &Device,
         W.member("retries", S.Retries);
         W.member("coalesced", S.Coalesced);
         W.member("cache_hits", S.CacheHits);
-        W.member("events", Service.telemetry().eventsRecorded());
+        W.member("events", Service.eventsRecorded());
         W.endObject();
         std::fprintf(stderr, "# stats: %s\n", W.take().c_str());
       }

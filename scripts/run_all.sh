@@ -90,7 +90,7 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   2>&1 | tee asan_output.txt
 
 # ThreadSanitizer lane for the concurrent service layer: the worker pool,
-# sharded cache, telemetry registry and counter scopes re-run instrumented
+# sharded cache, service counters and counter scopes re-run instrumented
 # so cross-thread ordering bugs surface as TSan reports instead of flaky
 # tests. Skips gracefully when the toolchain cannot link TSan binaries
 # (minimal containers ship no libtsan) — probe first, never half-fail.
@@ -134,7 +134,7 @@ if grep -q ': redundant$' smoke_artifacts/double_buffer_races.txt; then
 fi
 echo "barrier smoke: double-buffered barriers all required"
 
-# Telemetry smoke: a batch run must produce a well-formed registry
+# Telemetry smoke: a batch run must produce a well-formed telemetry
 # snapshot (--telemetry-json) — counters, gauges, and the latency
 # histograms with their quantile summaries — validated with json_lint
 # like every other artifact.

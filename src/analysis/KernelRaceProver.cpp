@@ -646,6 +646,10 @@ namespace cogent {
 namespace analysis {
 namespace {
 
+/// Bounded enumeration gives up past this many evaluated assignments per
+/// access pair (an UnprovenAccess warning is reported instead).
+constexpr uint64_t EnumerationCap = 1u << 20;
+
 /// One linearized guard conjunct: sum(Coeff * atom) + Const {<, <=} 0.
 /// Shared atoms carry their instance suffix; private atoms are raw (the
 /// side they belong to is implied by the owning access).
@@ -702,8 +706,8 @@ pickPair(const std::vector<int64_t> &S1, const std::vector<int64_t> &S2) {
 class Prover {
 public:
   Prover(const KernelPlan &Plan, const KernelModel &M,
-         const DataflowInfo &Flow, const RaceProverOptions &Opts)
-      : Plan(Plan), M(M), Flow(Flow), Opts(Opts) {}
+         const DataflowInfo &Flow)
+      : Plan(Plan), M(M), Flow(Flow) {}
 
   RaceReport run();
 
@@ -711,7 +715,6 @@ private:
   const KernelPlan &Plan;
   const KernelModel &M;
   const DataflowInfo &Flow;
-  const RaceProverOptions &Opts;
 
   RaceReport R;
   TaintResult Taint;
@@ -1321,7 +1324,7 @@ void Prover::enumeratePair(const AccessInst &A, const AccessInst &B,
   for (const Dim &D : BD)
     PB *= static_cast<long double>(D.Hi - D.Lo + 1);
   Cost *= PA + PB;
-  if (Cost > static_cast<long double>(Opts.EnumerationCap))
+  if (Cost > static_cast<long double>(EnumerationCap))
     return unproven(A, B, "enumeration cost exceeds cap");
   // Guard atoms are best-effort dimensions: pinning them lets guardsHold
   // prune infeasible points, but omitting one only *enlarges* the searched
@@ -1353,14 +1356,14 @@ void Prover::enumeratePair(const AccessInst &A, const AccessInst &B,
                      });
     for (const auto &[N, VR] : Order) {
       long double Grown = Cost * static_cast<long double>(VR.size());
-      if (Grown > static_cast<long double>(Opts.EnumerationCap))
+      if (Grown > static_cast<long double>(EnumerationCap))
         break;
       Cost = Grown;
       Sigma.insert(N);
       SigD.push_back({N, VR.Lo, VR.Hi, VR.Lo});
     }
   }
-  uint64_t Budget = Opts.EnumerationCap;
+  uint64_t Budget = EnumerationCap;
   auto reset = [](std::vector<Dim> &Ds) {
     for (Dim &D : Ds)
       D.Cur = D.Lo;
@@ -1685,15 +1688,13 @@ bool replayWitness(const RaceFinding &F) {
 }
 
 RaceReport proveRaces(const KernelPlan &Plan, const KernelModel &M,
-                      const DataflowInfo &Flow,
-                      const RaceProverOptions &Opts) {
-  Prover P(Plan, M, Flow, Opts);
+                      const DataflowInfo &Flow) {
+  Prover P(Plan, M, Flow);
   return P.run();
 }
 
 std::string explainRaces(const KernelPlan &Plan,
-                         const std::string &KernelSource,
-                         const RaceProverOptions &Opts) {
+                         const std::string &KernelSource) {
   ErrorOr<KernelModel> Model = parseKernelSource(KernelSource);
   if (!Model)
     return "explain-races: kernel failed to parse: " + Model.errorMessage() +
@@ -1701,7 +1702,7 @@ std::string explainRaces(const KernelPlan &Plan,
   ErrorOr<DataflowInfo> Flow = buildDataflow(*Model);
   if (!Flow)
     return "explain-races: dataflow failed: " + Flow.errorMessage() + "\n";
-  RaceReport R = proveRaces(Plan, *Model, *Flow, Opts);
+  RaceReport R = proveRaces(Plan, *Model, *Flow);
   std::ostringstream OS;
   OS << "=== race prover: uniformity ===\n";
   for (size_t I = 0; I < Flow->Locations.size(); ++I) {

@@ -198,12 +198,6 @@ bool replayWitness(const RaceFinding &F);
 // Prover entry points
 //===----------------------------------------------------------------------===//
 
-struct RaceProverOptions {
-  /// Abort bounded enumeration past this many evaluated assignments per
-  /// access pair (an UnprovenAccess warning is reported instead).
-  uint64_t EnumerationCap = 1u << 20;
-};
-
 /// Verdict for one barrier statement (keyed by source line).
 struct BarrierVerdict {
   unsigned Line = 0;
@@ -244,17 +238,17 @@ struct RaceReport {
 };
 
 /// Runs all three analyses over \p M (parsed from a kernel \p Plan
-/// emitted) using \p Flow's location table.
+/// emitted) using \p Flow's location table. Bounded enumeration stops past
+/// 2^20 evaluated assignments per access pair (an UnprovenAccess warning is
+/// reported instead).
 RaceReport proveRaces(const core::KernelPlan &Plan, const KernelModel &M,
-                      const DataflowInfo &Flow,
-                      const RaceProverOptions &Opts = RaceProverOptions());
+                      const DataflowInfo &Flow);
 
 /// Human-oriented dump for cogent_cli --explain-races: the uniformity
 /// table, barrier control classes, interval/access census, solver
 /// statistics and any findings with witnesses.
 std::string explainRaces(const core::KernelPlan &Plan,
-                         const std::string &KernelSource,
-                         const RaceProverOptions &Opts = RaceProverOptions());
+                         const std::string &KernelSource);
 
 } // namespace analysis
 } // namespace cogent

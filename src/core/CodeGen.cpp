@@ -253,7 +253,7 @@ GeneratedSource emitKernel(const KernelPlan &Plan, const Dialect &Dia,
   for (char &C : SpecId)
     if (C == '-')
       C = '_';
-  Out.KernelName = Options.KernelPrefix + "_" + SpecId;
+  Out.KernelName = "cogent_tc_" + SpecId;
 
   Operand XIn = Config.XInput;
   Operand YIn = Config.yInput();

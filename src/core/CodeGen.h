@@ -35,8 +35,6 @@ namespace core {
 struct CodeGenOptions {
   /// "double" or "float".
   std::string ElementType = "double";
-  /// Base name for the kernel; the contraction string is appended.
-  std::string KernelPrefix = "cogent_tc";
   /// Software-pipeline the staging: ping-pong shared-memory buffers let
   /// step i+1's global loads overlap step i's outer products, with one
   /// barrier per step instead of two. Doubles the shared-memory footprint

@@ -48,6 +48,10 @@ COGENT_COUNTER(NumBudgetTrips, "enumerator.budget-trips",
 
 namespace {
 
+/// The paper's thread-block and register tile sizes (§IV-A).
+constexpr int64_t TBSizes[] = {4, 8, 16};
+constexpr int64_t RegSizes[] = {2, 4, 6, 8};
+
 /// A partially determined configuration: one TB list plus one register-tile
 /// list for a single side (X or Y), or a TBk list (Reg unused).
 struct PartialConfig {
@@ -109,9 +113,7 @@ std::vector<IndexTile> fillToward(const Contraction &TC,
 /// tensor's own order (FVI -> SVI).
 std::vector<PartialConfig>
 enumerateSide(const Contraction &TC, char Forced,
-              const std::vector<char> &Pool,
-              const std::vector<int64_t> &TBSizes,
-              const std::vector<int64_t> &RegSizes) {
+              const std::vector<char> &Pool) {
   std::vector<PartialConfig> Result;
   std::set<std::string> Seen;
 
@@ -184,7 +186,7 @@ enumerateSide(const Contraction &TC, char Forced,
 /// per-index tiles are generated so contractions whose two input FVIs are
 /// both internal can coalesce both loads (smem pruning bounds the blowup).
 std::vector<PartialConfig>
-enumerateK(const Contraction &TC, const std::vector<int64_t> &TBSizes) {
+enumerateK(const Contraction &TC) {
   std::vector<char> Internals = TC.internalIndices();
   std::vector<PartialConfig> Result;
   if (Internals.empty()) {
@@ -292,12 +294,10 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
   std::vector<char> XPool = externalPool(XInput, OutFvi);
   std::vector<char> YPool = externalPool(YInput, /*Exclude=*/0);
 
-  std::vector<PartialConfig> XPartials =
-      enumerateSide(TC, OutFvi, XPool, Options.TBSizes, Options.RegSizes);
+  std::vector<PartialConfig> XPartials = enumerateSide(TC, OutFvi, XPool);
   std::vector<PartialConfig> YPartials =
-      enumerateSide(TC, /*Forced=*/0, YPool, Options.TBSizes,
-                    Options.RegSizes);
-  std::vector<PartialConfig> KPartials = enumerateK(TC, Options.TBSizes);
+      enumerateSide(TC, /*Forced=*/0, YPool);
+  std::vector<PartialConfig> KPartials = enumerateK(TC);
 
   EnumerationStats Local;
   Local.RawConfigs = static_cast<uint64_t>(XPartials.size()) *

@@ -30,10 +30,10 @@
 namespace cogent {
 namespace core {
 
-/// Tunable knobs of the enumeration; defaults match the paper.
+/// Tunable knobs of the enumeration; defaults match the paper. The tile
+/// sizes themselves are the paper's fixed {4, 8, 16} (thread block) and
+/// {2, 4, 6, 8} (register).
 struct EnumerationOptions {
-  std::vector<int64_t> TBSizes = {4, 8, 16};
-  std::vector<int64_t> RegSizes = {2, 4, 6, 8};
   /// Minimum grid size before a config is considered load-balanced; 0
   /// derives 2 * NumSMs from the device.
   int64_t MinThreadBlocks = 0;

@@ -7,7 +7,6 @@
 #include "core/KernelRepository.h"
 
 #include "support/FaultInjection.h"
-#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -141,14 +140,6 @@ size_t ShardedKernelRepository::shardSize(size_t I) const {
   assert(I < Shards.size());
   std::lock_guard<std::mutex> Guard(Shards[I]->Lock);
   return Shards[I]->Entries.size();
-}
-
-void ShardedKernelRepository::mirrorMetrics(
-    support::MetricRegistry &Registry) const {
-  Registry.counter("cache.hits").bridgeTo(hits());
-  Registry.counter("cache.misses").bridgeTo(misses());
-  Registry.counter("cache.quarantined").bridgeTo(quarantined());
-  Registry.gauge("cache.size").set(static_cast<double>(size()));
 }
 
 ErrorOr<ShardedKernelRepository::Lookup> ShardedKernelRepository::generateInto(

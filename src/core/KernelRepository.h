@@ -28,9 +28,6 @@
 #include <vector>
 
 namespace cogent {
-namespace support {
-class MetricRegistry;
-} // namespace support
 namespace core {
 
 /// One generated code version together with the representative size it was
@@ -108,7 +105,10 @@ std::string contractionSignature(
 /// only the owning shard's entry is evicted.
 class ShardedKernelRepository {
 public:
-  ShardedKernelRepository(const Cogent &Generator, size_t NumShards = 16,
+  static constexpr size_t DefaultNumShards = 16;
+
+  ShardedKernelRepository(const Cogent &Generator,
+                          size_t NumShards = DefaultNumShards,
                           CogentOptions Options = CogentOptions());
 
   /// One lookup's outcome: the (copied) plan plus how it was obtained.
@@ -159,13 +159,6 @@ public:
   uint64_t quarantined() const {
     return Quarantined.load(std::memory_order_relaxed);
   }
-
-  /// Mirrors the cache's tallies into \p Registry under "cache." names:
-  /// hits/misses/quarantined as monotonic counters (bridgeTo, so repeated
-  /// mirroring is idempotent), size as a gauge. The atomics above are the
-  /// store; this is their only export. The service's telemetry snapshot
-  /// calls this before every render.
-  void mirrorMetrics(support::MetricRegistry &Registry) const;
 
 private:
   struct Entry {

@@ -7,6 +7,7 @@
 #include "service/GenerationService.h"
 
 #include "support/FaultInjection.h"
+#include "support/JsonWriter.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -23,6 +24,10 @@ using core::FallbackLevel;
 using core::ShardedKernelRepository;
 
 using Clock = std::chrono::steady_clock;
+
+/// Share of the remaining deadline granted to the enumeration phase when
+/// the run is not degraded (the rest covers rank + emit + verification).
+static constexpr double EnumerateBudgetFraction = 0.6;
 
 static double msBetween(Clock::time_point From, Clock::time_point To) {
   return std::chrono::duration<double, std::milli>(To - From).count();
@@ -61,33 +66,14 @@ struct PendingRequest {
 GenerationService::GenerationService(gpu::DeviceSpec Device,
                                      ServiceOptions Opts)
     : Options(std::move(Opts)), Generator(std::move(Device)),
-      Repo(Generator, Options.NumShards, Options.Generation),
-      Telem(Options.Telemetry),
-      Metrics(Telem.registry(), Options.Telemetry.HistogramShards) {
+      Repo(Generator, ShardedKernelRepository::DefaultNumShards,
+           Options.Generation) {
   assert(Options.NumWorkers >= 1 && "a service with no worker never drains");
   Paused = Options.StartPaused;
   Workers.reserve(Options.NumWorkers);
   for (unsigned I = 0; I < Options.NumWorkers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
 }
-
-GenerationService::ServiceMetrics::ServiceMetrics(support::MetricRegistry &R,
-                                                 size_t HistogramShards)
-    : Submitted(R.counter("service.submitted")),
-      Completed(R.counter("service.completed")),
-      Failed(R.counter("service.failed")),
-      ShedQueueFull(R.counter("service.shed-queue-full")),
-      ShedOverloaded(R.counter("service.shed-overloaded")),
-      ShedExpired(R.counter("service.shed-expired")),
-      ShedStopped(R.counter("service.shed-stopped")),
-      Retries(R.counter("service.retries")),
-      Coalesced(R.counter("service.coalesced")),
-      BreakerTrips(R.counter("service.breaker-trips")),
-      BreakerResets(R.counter("service.breaker-resets")),
-      DeadlineDegraded(R.counter("service.deadline-degraded")),
-      DeadlineExpired(R.counter("service.deadline-expired")),
-      LatencyMs(R.histogram("service.latency-ms", HistogramShards)),
-      QueueWaitMs(R.histogram("service.queue-wait-ms", HistogramShards)) {}
 
 GenerationService::~GenerationService() { stop(); }
 
@@ -126,17 +112,16 @@ void GenerationService::stop() {
 
 ErrorOr<std::shared_ptr<PendingRequest>>
 GenerationService::submit(ServiceRequest Request) {
-  Metrics.Submitted.add();
-  const uint64_t RequestId = Telem.beginRequest();
-  Telem.recordEvent(RequestId, RequestEventKind::Submitted, Request.Spec);
+  ++Metrics.Submitted;
+  const uint64_t RequestId = ++NextRequestId;
+  recordEvent(RequestId, RequestEventKind::Submitted, Request.Spec);
 
-  double DeadlineMs = Request.DeadlineMs != 0.0 ? Request.DeadlineMs
-                                                : Options.DefaultDeadlineMs;
+  const double DeadlineMs = Request.DeadlineMs;
   if (DeadlineMs < 0.0) {
     // Expired before any work could begin: the one deadline shape that is
     // an admission error rather than a degraded answer.
-    Metrics.ShedExpired.add();
-    Telem.recordEvent(RequestId, RequestEventKind::Shed, "expired-deadline");
+    ++Metrics.ShedExpired;
+    recordEvent(RequestId, RequestEventKind::Shed, "expired-deadline");
     return Error(ErrorCode::DeadlineExceeded,
                  "request deadline expired before submission");
   }
@@ -153,30 +138,32 @@ GenerationService::submit(ServiceRequest Request) {
             std::chrono::duration<double, std::milli>(DeadlineMs));
   }
 
-  // Admission control. Outstanding is checked before the queue so the
-  // coarser limit (total admitted work, including coalesced followers and
-  // executing jobs) sheds first.
-  if (Outstanding.load(std::memory_order_relaxed) >= Options.MaxOutstanding) {
-    Metrics.ShedOverloaded.add();
-    Telem.recordEvent(RequestId, RequestEventKind::Shed, "overloaded");
-    return Error(ErrorCode::Overloaded,
-                 "service outstanding-work limit reached (" +
-                     std::to_string(Options.MaxOutstanding) +
-                     " requests in flight); retry after backoff");
-  }
+  // Admission control. Outstanding is checked under QueueLock, where it is
+  // raised, so concurrent submits cannot overshoot MaxOutstanding; it is
+  // checked before the queue so the coarser limit (total admitted work,
+  // including coalesced followers and executing jobs) sheds first.
   {
     std::lock_guard<std::mutex> Guard(QueueLock);
+    if (Outstanding.load(std::memory_order_relaxed) >=
+        Options.MaxOutstanding) {
+      ++Metrics.ShedOverloaded;
+      recordEvent(RequestId, RequestEventKind::Shed, "overloaded");
+      return Error(ErrorCode::Overloaded,
+                   "service outstanding-work limit reached (" +
+                       std::to_string(Options.MaxOutstanding) +
+                       " requests in flight); retry after backoff");
+    }
     if (Stopping) {
       // A caller bug rather than load, but still a shed: the conservation
       // law and the timeline law both hold after stop().
-      Metrics.ShedStopped.add();
-      Telem.recordEvent(RequestId, RequestEventKind::Shed, "service-stopped");
+      ++Metrics.ShedStopped;
+      recordEvent(RequestId, RequestEventKind::Shed, "service-stopped");
       return Error(ErrorCode::ServiceStopped,
                    "service is stopped; request rejected at submission");
     }
     if (Queue.size() >= Options.QueueCapacity) {
-      Metrics.ShedQueueFull.add();
-      Telem.recordEvent(RequestId, RequestEventKind::Shed, "queue-full");
+      ++Metrics.ShedQueueFull;
+      recordEvent(RequestId, RequestEventKind::Shed, "queue-full");
       return Error(ErrorCode::QueueFull,
                    "service intake queue is full (" +
                        std::to_string(Options.QueueCapacity) +
@@ -243,14 +230,14 @@ void GenerationService::fulfill(const std::shared_ptr<PendingRequest> &Job,
   if (Outcome) {
     Outcome->RequestId = Job->RequestId;
     Outcome->TotalMs = TotalMs;
-    Metrics.Completed.add();
+    ++Metrics.Completed;
     Metrics.LatencyMs.record(TotalMs);
-    Telem.recordEvent(Job->RequestId, RequestEventKind::Completed,
-                      core::fallbackLevelName(Outcome->Fallback));
+    recordEvent(Job->RequestId, RequestEventKind::Completed,
+                core::fallbackLevelName(Outcome->Fallback));
   } else {
-    Metrics.Failed.add();
-    Telem.recordEvent(Job->RequestId, RequestEventKind::Failed,
-                      errorCodeName(Outcome.error().code()));
+    ++Metrics.Failed;
+    recordEvent(Job->RequestId, RequestEventKind::Failed,
+                errorCodeName(Outcome.error().code()));
   }
   Outstanding.fetch_sub(1, std::memory_order_relaxed);
   {
@@ -264,8 +251,8 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
   const ServiceRequest &Request = Job->Request;
   double QueueMs = msBetween(Job->SubmittedAt, Clock::now());
   Metrics.QueueWaitMs.record(QueueMs);
-  Telem.recordEvent(Job->RequestId, RequestEventKind::Dequeued,
-                    std::to_string(QueueMs));
+  recordEvent(Job->RequestId, RequestEventKind::Dequeued,
+              std::to_string(QueueMs));
 
   const std::string Signature = core::contractionSignature(
       Request.Spec, Request.Extents, Options.Generation.ElementSize);
@@ -278,9 +265,8 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
     auto [It, Inserted] = Flights.try_emplace(Signature);
     if (!Inserted) {
       It->second.Waiters.push_back(Job);
-      Metrics.Coalesced.add();
-      Telem.recordEvent(Job->RequestId, RequestEventKind::Coalesced,
-                        Signature);
+      ++Metrics.Coalesced;
+      recordEvent(Job->RequestId, RequestEventKind::Coalesced, Signature);
       return;
     }
   }
@@ -293,8 +279,8 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
   const double Inf = std::numeric_limits<double>::infinity();
   while (true) {
     ++Attempt;
-    Telem.recordEvent(Job->RequestId, RequestEventKind::AttemptStart,
-                      std::to_string(Attempt));
+    recordEvent(Job->RequestId, RequestEventKind::AttemptStart,
+                std::to_string(Attempt));
     double RemainingMs =
         Job->HasDeadline ? msBetween(Clock::now(), Job->Deadline) : Inf;
 
@@ -312,7 +298,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
         Gen.StartRung = FallbackLevel::TtgtBaseline;
         Meta.DeadlineDegraded = true;
         Meta.DeadlineExpired = true;
-        Metrics.DeadlineExpired.add();
+        ++Metrics.DeadlineExpired;
       } else if (RemainingMs < Options.DegradeTtgtMs) {
         Gen.StartRung = FallbackLevel::TtgtBaseline;
         Meta.DeadlineDegraded = true;
@@ -320,15 +306,15 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
         Gen.StartRung = FallbackLevel::MinimalTile;
         Meta.DeadlineDegraded = true;
       } else {
-        double Share = RemainingMs * Options.EnumerateBudgetFraction;
+        double Share = RemainingMs * EnumerateBudgetFraction;
         Gen.Budget.DeadlineMs = Gen.Budget.DeadlineMs > 0.0
                                     ? std::min(Gen.Budget.DeadlineMs, Share)
                                     : Share;
       }
       if (Meta.DeadlineDegraded) {
-        Metrics.DeadlineDegraded.add();
-        Telem.recordEvent(Job->RequestId, RequestEventKind::DeadlineBand,
-                          core::fallbackLevelName(Gen.StartRung));
+        ++Metrics.DeadlineDegraded;
+        recordEvent(Job->RequestId, RequestEventKind::DeadlineBand,
+                    core::fallbackLevelName(Gen.StartRung));
         support::traceInstant(
             "service.deadline-degrade",
             {{"signature", Signature},
@@ -356,14 +342,14 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
         }
       }
       if (!Transition.empty())
-        Telem.recordEvent(Job->RequestId,
-                          RequestEventKind::BreakerTransition, Transition);
+        recordEvent(Job->RequestId, RequestEventKind::BreakerTransition,
+                    Transition);
     }
 
     // Per-attempt chaos seed: deterministic in (base seed, signature,
     // attempt), different across attempts — injected faults behave like
     // transient infrastructure trouble a retry can out-wait.
-    if (Gen.Chaos.enabled() && Options.ReseedChaosPerAttempt)
+    if (Gen.Chaos.enabled())
       Gen.Chaos.Seed =
           mix64(Gen.Chaos.Seed ^ mix64(core::fnv1a(Signature) + Attempt));
 
@@ -398,14 +384,14 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
         const BreakerState Before = B.S;
         if (Clean) {
           if (B.S == BreakerState::HalfOpen)
-            Metrics.BreakerResets.add();
+            ++Metrics.BreakerResets;
           B.S = BreakerState::Closed;
           B.ConsecutiveRejections = 0;
         } else {
           if (B.S == BreakerState::HalfOpen ||
               ++B.ConsecutiveRejections >= Options.BreakerThreshold) {
             if (B.S != BreakerState::Open) {
-              Metrics.BreakerTrips.add();
+              ++Metrics.BreakerTrips;
               support::traceInstant("service.breaker-open",
                                     {{"signature", Signature}});
             }
@@ -419,17 +405,16 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
                        breakerStateName(B.S);
       }
       if (!Transition.empty())
-        Telem.recordEvent(Job->RequestId,
-                          RequestEventKind::BreakerTransition, Transition);
+        recordEvent(Job->RequestId, RequestEventKind::BreakerTransition,
+                    Transition);
     }
 
     if (Looked) {
       if (Looked->CacheHit)
-        Telem.recordEvent(Job->RequestId, RequestEventKind::CacheHit,
-                          Signature);
+        recordEvent(Job->RequestId, RequestEventKind::CacheHit, Signature);
       if (Looked->Quarantined)
-        Telem.recordEvent(Job->RequestId, RequestEventKind::CacheQuarantine,
-                          Signature);
+        recordEvent(Job->RequestId, RequestEventKind::CacheQuarantine,
+                    Signature);
       Meta.Kernel = std::move(Looked->Kernel);
       Meta.Fallback = Looked->Fallback;
       Meta.CacheHit = Looked->CacheHit;
@@ -439,8 +424,8 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
     }
 
     Error Failure = Looked.takeError();
-    Telem.recordEvent(Job->RequestId, RequestEventKind::AttemptFailed,
-                      errorCodeName(Failure.code()));
+    recordEvent(Job->RequestId, RequestEventKind::AttemptFailed,
+                errorCodeName(Failure.code()));
     double RemainingAfter =
         Job->HasDeadline ? msBetween(Clock::now(), Job->Deadline) : Inf;
     bool Retryable = isTransient(Failure.code()) &&
@@ -452,7 +437,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
           (Attempt == 1 ? " attempt" : " attempts"));
       break;
     }
-    Metrics.Retries.add();
+    ++Metrics.Retries;
     double BackoffMs =
         std::min(Options.RetryBackoffBaseMs *
                      std::pow(2.0, static_cast<double>(Attempt - 1)),
@@ -461,8 +446,8 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
     support::traceInstant("service.retry",
                           {{"signature", Signature},
                            {"code", errorCodeName(Failure.code())}});
-    Telem.recordEvent(Job->RequestId, RequestEventKind::Backoff,
-                      std::to_string(BackoffMs));
+    recordEvent(Job->RequestId, RequestEventKind::Backoff,
+                std::to_string(BackoffMs));
     if (BackoffMs > 0.0)
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(BackoffMs));
@@ -490,40 +475,93 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
   fulfill(Job, std::move(Outcome));
 }
 
+void GenerationService::recordEvent(uint64_t RequestId,
+                                    RequestEventKind Kind,
+                                    std::string_view Detail) {
+  ++Metrics.EventsRecorded;
+  if (support::activeTraceSession())
+    support::traceInstant(requestEventTraceName(Kind),
+                          {{"request", std::to_string(RequestId)},
+                           {"detail", std::string(Detail)}});
+}
+
 ServiceStats GenerationService::stats() const {
   ServiceStats Out;
-  Out.Submitted = Metrics.Submitted.value();
-  Out.Completed = Metrics.Completed.value();
-  Out.Failed = Metrics.Failed.value();
-  Out.ShedQueueFull = Metrics.ShedQueueFull.value();
-  Out.ShedOverloaded = Metrics.ShedOverloaded.value();
-  Out.ShedExpired = Metrics.ShedExpired.value();
-  Out.ShedStopped = Metrics.ShedStopped.value();
-  Out.Retries = Metrics.Retries.value();
-  Out.Coalesced = Metrics.Coalesced.value();
+  Out.Submitted = Metrics.Submitted;
+  Out.Completed = Metrics.Completed;
+  Out.Failed = Metrics.Failed;
+  Out.ShedQueueFull = Metrics.ShedQueueFull;
+  Out.ShedOverloaded = Metrics.ShedOverloaded;
+  Out.ShedExpired = Metrics.ShedExpired;
+  Out.ShedStopped = Metrics.ShedStopped;
+  Out.Retries = Metrics.Retries;
+  Out.Coalesced = Metrics.Coalesced;
   Out.CacheHits = Repo.hits();
   Out.CacheMisses = Repo.misses();
   Out.Quarantined = Repo.quarantined();
-  Out.BreakerTrips = Metrics.BreakerTrips.value();
-  Out.BreakerResets = Metrics.BreakerResets.value();
-  Out.DeadlineDegraded = Metrics.DeadlineDegraded.value();
-  Out.DeadlineExpired = Metrics.DeadlineExpired.value();
+  Out.BreakerTrips = Metrics.BreakerTrips;
+  Out.BreakerResets = Metrics.BreakerResets;
+  Out.DeadlineDegraded = Metrics.DeadlineDegraded;
+  Out.DeadlineExpired = Metrics.DeadlineExpired;
   return Out;
 }
 
-void GenerationService::syncRegistry() const {
-  support::MetricRegistry &R = Telem.registry();
-  R.gauge("service.outstanding")
-      .set(static_cast<double>(Outstanding.load(std::memory_order_relaxed)));
+std::string GenerationService::telemetrySnapshot() const {
+  size_t QueueDepth;
   {
     std::lock_guard<std::mutex> Guard(QueueLock);
-    R.gauge("service.queue-depth")
-        .set(static_cast<double>(Queue.size()));
+    QueueDepth = Queue.size();
   }
-  Repo.mirrorMetrics(R);
-}
+  // Each section lists its names in sorted order.
+  const std::pair<const char *, uint64_t> Counters[] = {
+      {"cache.hits", Repo.hits()},
+      {"cache.misses", Repo.misses()},
+      {"cache.quarantined", Repo.quarantined()},
+      {"service.breaker-resets", Metrics.BreakerResets},
+      {"service.breaker-trips", Metrics.BreakerTrips},
+      {"service.coalesced", Metrics.Coalesced},
+      {"service.completed", Metrics.Completed},
+      {"service.deadline-degraded", Metrics.DeadlineDegraded},
+      {"service.deadline-expired", Metrics.DeadlineExpired},
+      {"service.failed", Metrics.Failed},
+      {"service.retries", Metrics.Retries},
+      {"service.shed-expired", Metrics.ShedExpired},
+      {"service.shed-overloaded", Metrics.ShedOverloaded},
+      {"service.shed-queue-full", Metrics.ShedQueueFull},
+      {"service.shed-stopped", Metrics.ShedStopped},
+      {"service.submitted", Metrics.Submitted},
+      {"telemetry.events-recorded", Metrics.EventsRecorded},
+  };
+  const std::pair<const char *, double> Gauges[] = {
+      {"cache.size", static_cast<double>(Repo.size())},
+      {"service.outstanding", static_cast<double>(Outstanding)},
+      {"service.queue-depth", static_cast<double>(QueueDepth)},
+  };
+  const std::pair<const char *, const support::ConcurrentHistogram *>
+      Histograms[] = {
+          {"service.latency-ms", &Metrics.LatencyMs},
+          {"service.queue-wait-ms", &Metrics.QueueWaitMs},
+      };
 
-std::string GenerationService::telemetrySnapshot() const {
-  syncRegistry();
-  return Telem.registry().renderJson();
+  support::JsonWriter W;
+  W.beginObject();
+  W.key("counters");
+  W.beginObject();
+  for (const auto &[Name, Value] : Counters)
+    W.member(Name, Value);
+  W.endObject();
+  W.key("gauges");
+  W.beginObject();
+  for (const auto &[Name, Value] : Gauges)
+    W.member(Name, Value);
+  W.endObject();
+  W.key("histograms");
+  W.beginObject();
+  for (const auto &[Name, Histogram] : Histograms) {
+    W.key(Name);
+    Histogram->merged().writeJson(W);
+  }
+  W.endObject();
+  W.endObject();
+  return W.take();
 }

@@ -34,9 +34,9 @@
 ///    (closed -> open -> half-open probe -> closed), so a pathological
 ///    contraction cannot keep burning retries in the expensive pipeline.
 ///
-/// Each service fact is counted once, as a counter in the telemetry
-/// registry (service/Telemetry.h); ServiceStats and the JSON snapshot are
-/// views over those counters.
+/// Each service fact is counted once, in a typed atomic field of the
+/// service; ServiceStats and the JSON snapshot are views over those
+/// fields. Request timelines are trace instants (service/Telemetry.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +48,7 @@
 #include "gpu/DeviceSpec.h"
 #include "service/Telemetry.h"
 #include "support/Diagnostics.h"
+#include "support/Metrics.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -56,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -81,34 +83,20 @@ struct ServiceOptions {
   /// Exponential backoff between attempts: Base * 2^(attempt-1), capped.
   double RetryBackoffBaseMs = 0.25;
   double RetryBackoffMaxMs = 4.0;
-  /// Deadline applied to requests that carry none. 0 = unbounded.
-  double DefaultDeadlineMs = 0.0;
   /// Remaining-budget thresholds for graceful degradation: below
   /// DegradeMinimalTileMs the run starts at the minimal-tile rung, below
   /// DegradeTtgtMs (or with the budget already spent) at the TTGT rung.
   double DegradeMinimalTileMs = 25.0;
   double DegradeTtgtMs = 6.0;
-  /// Share of the remaining budget granted to the enumeration phase when
-  /// the run is not degraded (the rest covers rank + emit + verification).
-  double EnumerateBudgetFraction = 0.6;
   /// Consecutive rejection-carrying full-pipeline runs of one signature
   /// that trip its breaker open.
   unsigned BreakerThreshold = 3;
   /// Open-state requests served degraded before the half-open probe.
   unsigned BreakerCooldownRequests = 8;
-  /// Shards in the plan cache.
-  size_t NumShards = 16;
-  /// Observability: event-ring capacity, histogram sharding, optional
-  /// JSON-lines event sink (see service/Telemetry.h).
-  TelemetryOptions Telemetry;
   /// Base options for every generation run (element size, lint mode,
   /// chaos, ...). Budget/StartRung fields are overwritten per request by
   /// the deadline/breaker machinery.
   core::CogentOptions Generation;
-  /// Derive a distinct deterministic chaos seed per (signature, attempt)
-  /// from Generation.Chaos.Seed, so a retry does not deterministically
-  /// replay the exact fault pattern that failed the previous attempt.
-  bool ReseedChaosPerAttempt = true;
   /// Construct with workers parked (resume() starts draining). For tests
   /// that need a deterministically full queue.
   bool StartPaused = false;
@@ -120,9 +108,9 @@ struct ServiceRequest {
   std::string Spec;
   /// Per-index extents.
   std::vector<std::pair<char, int64_t>> Extents;
-  /// Wall-clock budget, milliseconds, measured from submit. 0 uses
-  /// ServiceOptions::DefaultDeadlineMs; negative is already expired and
-  /// sheds with DeadlineExceeded at submit.
+  /// Wall-clock budget, milliseconds, measured from submit. 0 is
+  /// unbounded; negative is already expired and sheds with
+  /// DeadlineExceeded at submit.
   double DeadlineMs = 0.0;
   /// Skip the cache lookup (the fresh plan still refreshes the cache).
   /// For benchmarking the cold path and exercising the breaker.
@@ -131,8 +119,8 @@ struct ServiceRequest {
 
 /// A completed request's payload plus how the service produced it.
 struct ServiceResult {
-  /// The service-assigned request id; keys this request's event timeline
-  /// in the telemetry log.
+  /// The service-assigned request id; the "request" arg of this request's
+  /// timeline instants in the trace.
   uint64_t RequestId = 0;
   core::GeneratedKernel Kernel;
   core::FallbackLevel Fallback = core::FallbackLevel::None;
@@ -158,10 +146,10 @@ struct ServiceResult {
 };
 
 /// Monotonic service-lifetime tallies: a point-in-time view of the
-/// service's registry counters (the same values telemetrySnapshot exports
-/// under "service.*" and "cache.*"). Completed + failed + the four shed
-/// buckets equals submitted once the service is idle — nothing is ever
-/// silently dropped, not even a submit after stop().
+/// service's counters and the cache's (the same values telemetrySnapshot
+/// exports under "service.*" and "cache.*"). Completed + failed + the four
+/// shed buckets equals submitted once the service is idle — nothing is
+/// ever silently dropped, not even a submit after stop().
 struct ServiceStats {
   /// Requests entering submit().
   uint64_t Submitted = 0;
@@ -245,14 +233,14 @@ public:
   const core::ShardedKernelRepository &repository() const { return Repo; }
   const gpu::DeviceSpec &device() const { return Generator.device(); }
 
-  /// The telemetry hub: event timeline, metric registry, request ids.
-  ServiceTelemetry &telemetry() { return Telem; }
-  const ServiceTelemetry &telemetry() const { return Telem; }
+  /// Lifecycle events recorded so far ("telemetry.events-recorded"),
+  /// whether or not a trace session was active to receive them.
+  uint64_t eventsRecorded() const { return Metrics.EventsRecorded; }
 
-  /// Point-in-time JSON snapshot of the whole registry (service counters,
-  /// cache counters mirrored in, queue gauges refreshed, latency /
-  /// queue-wait histograms): one {"counters":..,"gauges":..,
-  /// "histograms":..} object. The cogent_cli --telemetry-json payload.
+  /// Point-in-time JSON snapshot of the service's counters, the cache's
+  /// counters, the queue gauges and the latency / queue-wait histograms:
+  /// one {"counters":..,"gauges":..,"histograms":..} object with
+  /// name-sorted keys. The cogent_cli --telemetry-json payload.
   std::string telemetrySnapshot() const;
 
 private:
@@ -260,10 +248,10 @@ private:
   void execute(const std::shared_ptr<PendingRequest> &Job);
   void fulfill(const std::shared_ptr<PendingRequest> &Job,
                ErrorOr<ServiceResult> Outcome);
-  /// Refreshes the liveness gauges and mirrors the cache counters into
-  /// the telemetry registry; telemetrySnapshot() calls this so it is
-  /// always current.
-  void syncRegistry() const;
+  /// Counts one lifecycle event and, when a trace session is active,
+  /// records it as a "service.<kind>" instant.
+  void recordEvent(uint64_t RequestId, RequestEventKind Kind,
+                   std::string_view Detail = {});
 
   ServiceOptions Options;
   core::Cogent Generator;
@@ -275,7 +263,9 @@ private:
   bool Paused = false;
   bool Stopping = false;
   std::vector<std::thread> Workers;
+  /// Admitted but not yet fulfilled; checked and raised under QueueLock.
   std::atomic<size_t> Outstanding{0};
+  std::atomic<uint64_t> NextRequestId{0};
 
   /// Singleflight table: signature -> leader's flight, holding the
   /// followers to fulfill when the leader finishes.
@@ -295,21 +285,17 @@ private:
   mutable std::mutex BreakersLock;
   std::unordered_map<std::string, Breaker> Breakers;
 
-  /// Mutable so the const telemetrySnapshot() can refresh the gauges
-  /// (logically read-only).
-  mutable ServiceTelemetry Telem;
-
-  /// The service's counters and histograms, registered once in
-  /// Telem.registry(). They are the only store of these facts: each event
-  /// is one add/record, and stats() and the snapshot read them back.
+  /// The service's counters and histograms: the only store of these
+  /// facts. Each event is one increment or record, and stats() and the
+  /// snapshot read them back.
   struct ServiceMetrics {
-    ServiceMetrics(support::MetricRegistry &R, size_t HistogramShards);
-    support::MetricCounter &Submitted, &Completed, &Failed, &ShedQueueFull,
-        &ShedOverloaded, &ShedExpired, &ShedStopped, &Retries, &Coalesced,
-        &BreakerTrips, &BreakerResets, &DeadlineDegraded, &DeadlineExpired;
+    std::atomic<uint64_t> Submitted{0}, Completed{0}, Failed{0},
+        ShedQueueFull{0}, ShedOverloaded{0}, ShedExpired{0}, ShedStopped{0},
+        Retries{0}, Coalesced{0}, BreakerTrips{0}, BreakerResets{0},
+        DeadlineDegraded{0}, DeadlineExpired{0}, EventsRecorded{0};
     /// Submit-to-completion wall clock of completed requests, and the time
     /// requests spent queued before a worker picked them up.
-    support::ConcurrentHistogram &LatencyMs, &QueueWaitMs;
+    support::ConcurrentHistogram LatencyMs, QueueWaitMs;
   };
   ServiceMetrics Metrics;
 };

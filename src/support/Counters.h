@@ -18,7 +18,7 @@
 /// load.
 ///
 /// The table holds pipeline facts only. The service's request tallies live
-/// in its MetricRegistry (support/Metrics.h) and the plan cache's in
+/// in GenerationService's atomic fields and the plan cache's in
 /// ShardedKernelRepository's atomics; none is mirrored here, so every fact
 /// has one store and one exported name.
 ///

@@ -18,28 +18,6 @@ using namespace cogent;
 using namespace cogent::support;
 
 //===----------------------------------------------------------------------===//
-// MetricKind name table
-//===----------------------------------------------------------------------===//
-
-static const char *const MetricKindNames[NumMetricKinds] = {
-    "counter",
-    "gauge",
-    "histogram",
-};
-
-const char *support::metricKindName(MetricKind Kind) {
-  unsigned I = static_cast<unsigned>(Kind);
-  return I < NumMetricKinds ? MetricKindNames[I] : "?";
-}
-
-std::optional<MetricKind> support::metricKindFromName(const std::string &Name) {
-  for (unsigned I = 0; I < NumMetricKinds; ++I)
-    if (Name == MetricKindNames[I])
-      return static_cast<MetricKind>(I);
-  return std::nullopt;
-}
-
-//===----------------------------------------------------------------------===//
 // LatencyHistogram
 //===----------------------------------------------------------------------===//
 
@@ -187,86 +165,4 @@ LatencyHistogram ConcurrentHistogram::shardSnapshot(size_t I) const {
   assert(I < Shards.size() && "shard index out of range");
   std::lock_guard<std::mutex> Guard(Shards[I]->Lock);
   return Shards[I]->Hist;
-}
-
-//===----------------------------------------------------------------------===//
-// MetricRegistry
-//===----------------------------------------------------------------------===//
-
-MetricRegistry::Entry &MetricRegistry::getOrCreate(const std::string &Name,
-                                                   MetricKind Kind,
-                                                   size_t NumShards) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  auto [It, Inserted] = Entries.try_emplace(Name);
-  Entry &E = It->second;
-  if (Inserted) {
-    E.Kind = Kind;
-    switch (Kind) {
-    case MetricKind::Counter:
-      E.Counter = std::make_unique<MetricCounter>();
-      break;
-    case MetricKind::Gauge:
-      E.Gauge = std::make_unique<MetricGauge>();
-      break;
-    case MetricKind::Histogram:
-      E.Histogram = std::make_unique<ConcurrentHistogram>(NumShards);
-      break;
-    }
-  } else {
-    assert(E.Kind == Kind && "metric re-registered with a different kind");
-  }
-  return E;
-}
-
-MetricCounter &MetricRegistry::counter(const std::string &Name) {
-  return *getOrCreate(Name, MetricKind::Counter, 0).Counter;
-}
-
-MetricGauge &MetricRegistry::gauge(const std::string &Name) {
-  return *getOrCreate(Name, MetricKind::Gauge, 0).Gauge;
-}
-
-ConcurrentHistogram &MetricRegistry::histogram(const std::string &Name,
-                                               size_t NumShards) {
-  return *getOrCreate(Name, MetricKind::Histogram, NumShards).Histogram;
-}
-
-std::optional<MetricKind> MetricRegistry::kindOf(const std::string &Name) const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  auto It = Entries.find(Name);
-  if (It == Entries.end())
-    return std::nullopt;
-  return It->second.Kind;
-}
-
-void MetricRegistry::writeJson(JsonWriter &W) const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  W.beginObject();
-  W.key("counters");
-  W.beginObject();
-  for (const auto &[Name, E] : Entries)
-    if (E.Kind == MetricKind::Counter)
-      W.member(Name, E.Counter->value());
-  W.endObject();
-  W.key("gauges");
-  W.beginObject();
-  for (const auto &[Name, E] : Entries)
-    if (E.Kind == MetricKind::Gauge)
-      W.member(Name, E.Gauge->value());
-  W.endObject();
-  W.key("histograms");
-  W.beginObject();
-  for (const auto &[Name, E] : Entries)
-    if (E.Kind == MetricKind::Histogram) {
-      W.key(Name);
-      E.Histogram->merged().writeJson(W);
-    }
-  W.endObject();
-  W.endObject();
-}
-
-std::string MetricRegistry::renderJson() const {
-  JsonWriter W;
-  writeJson(W);
-  return W.take();
 }

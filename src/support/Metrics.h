@@ -1,32 +1,21 @@
-//===- support/Metrics.h - Service metrics registry and histograms --------===//
+//===- support/Metrics.h - Service latency histograms ---------------------===//
 //
 // Part of the COGENT reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The continuously-measured half of the observability layer. Where
-/// support/Counters.h gives the *pipeline* its always-on monotonic tallies
-/// and support/Trace.h its per-run spans, this file gives the *service*
-/// layer live, queryable operational metrics:
+/// The service's latency distributions. Where support/Counters.h gives
+/// the *pipeline* its per-run tallies and support/Trace.h its spans, this
+/// file gives the *service* layer two bounded histograms it owns directly
+/// (GenerationService's latency and queue-wait fields):
 ///
 ///  - LatencyHistogram: a bounded log-scale latency histogram with
 ///    p50/p90/p99/p999 quantile estimation. Memory is O(1) regardless of
-///    sample count (the fix for the service's old unbounded LatenciesMs
-///    vector) and two histograms merge by bucket-wise addition, so
-///    per-worker shards combine into one distribution without locks on
-///    the hot path's critical section.
+///    sample count and two histograms merge by bucket-wise addition, so
+///    per-worker shards combine into one distribution.
 ///  - ConcurrentHistogram: N mutex-guarded LatencyHistogram shards keyed
 ///    by the calling thread, merged on demand.
-///  - MetricRegistry: a thread-safe name -> metric table of monotonic
-///    counters, gauges and histograms with one deterministic exporter, a
-///    JSON object (via the repo's own JsonWriter). A registry counter is the store of the fact it
-///    counts (the service's request tallies); the one fact stored
-///    elsewhere — the plan cache's atomics — is mirrored in with
-///    MetricCounter::bridgeTo before an export.
-///
-/// Naming convention matches Counters.h: "<component>.<noun>" kebab-case
-/// ("service.latency-ms").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,37 +23,15 @@
 #define COGENT_SUPPORT_METRICS_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <vector>
 
 namespace cogent {
 namespace support {
 
 class JsonWriter;
-
-/// The closed set of metric kinds a registry can hold; the name table is
-/// pinned by test_name_tables.
-enum class MetricKind : unsigned {
-  Counter,   ///< Monotonically non-decreasing uint64.
-  Gauge,     ///< Instantaneous double, may move both ways.
-  Histogram, ///< Bounded log-scale latency distribution.
-};
-
-/// Number of MetricKind enumerators; keep in sync when extending the enum
-/// (the name-table round-trip test walks [0, NumMetricKinds)).
-inline constexpr unsigned NumMetricKinds = 3;
-
-/// "counter", "gauge" or "histogram".
-const char *metricKindName(MetricKind Kind);
-
-/// Inverse of metricKindName; nullopt for unknown strings.
-std::optional<MetricKind> metricKindFromName(const std::string &Name);
 
 /// A bounded log-scale histogram of millisecond latencies.
 ///
@@ -165,77 +132,6 @@ private:
     LatencyHistogram Hist;
   };
   std::vector<std::unique_ptr<Shard>> Shards;
-};
-
-/// A monotonic registry counter. Handles returned by MetricRegistry stay
-/// valid for the registry's lifetime.
-class MetricCounter {
-public:
-  void add(uint64_t N = 1) { Value_.fetch_add(N, std::memory_order_relaxed); }
-  /// Raises the counter to \p V if below it (never decreases): the bridge
-  /// for mirroring a monotonic tally whose store lives elsewhere — the
-  /// plan cache's atomics — into the registry.
-  void bridgeTo(uint64_t V) {
-    uint64_t Cur = Value_.load(std::memory_order_relaxed);
-    while (Cur < V &&
-           !Value_.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
-      ;
-  }
-  uint64_t value() const { return Value_.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<uint64_t> Value_{0};
-};
-
-/// An instantaneous registry gauge.
-class MetricGauge {
-public:
-  void set(double V) { Value_.store(V, std::memory_order_relaxed); }
-  double value() const { return Value_.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> Value_{0.0};
-};
-
-/// Thread-safe name -> metric table with a deterministic (name-sorted)
-/// exporter. Metrics are get-or-create and never removed; the returned
-/// references stay valid for the registry's lifetime. Re-asking for a
-/// name with a different kind is a programming error (asserted).
-class MetricRegistry {
-public:
-  MetricRegistry() = default;
-  MetricRegistry(const MetricRegistry &) = delete;
-  MetricRegistry &operator=(const MetricRegistry &) = delete;
-
-  MetricCounter &counter(const std::string &Name);
-  MetricGauge &gauge(const std::string &Name);
-  ConcurrentHistogram &histogram(const std::string &Name,
-                                 size_t NumShards = 8);
-
-  /// The registered kind of \p Name, or nullopt when absent.
-  std::optional<MetricKind> kindOf(const std::string &Name) const;
-
-  /// Writes one JSON object {"counters":{...},"gauges":{...},
-  /// "histograms":{name:{count,...,p999_ms},...}} with name-sorted keys
-  /// into \p W.
-  void writeJson(JsonWriter &W) const;
-  /// writeJson as a standalone string.
-  std::string renderJson() const;
-
-private:
-  struct Entry {
-    MetricKind Kind;
-    std::unique_ptr<MetricCounter> Counter;
-    std::unique_ptr<MetricGauge> Gauge;
-    std::unique_ptr<ConcurrentHistogram> Histogram;
-  };
-
-  Entry &getOrCreate(const std::string &Name, MetricKind Kind,
-                     size_t NumShards);
-
-  mutable std::mutex Lock;
-  /// std::map: sorted iteration gives the exporter its determinism.
-  std::map<std::string, Entry> Entries;
 };
 
 } // namespace support

@@ -20,7 +20,6 @@
 #include "gpu/PerfModel.h"
 #include "service/Telemetry.h"
 #include "support/FaultInjection.h"
-#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -231,24 +230,6 @@ TEST(NameTables, EstimateKernelTimePicksBoundFromTable) {
                "smem");
 }
 
-TEST(NameTables, MetricKindRoundTrips) {
-  std::set<std::string> Seen;
-  for (unsigned I = 0; I < support::NumMetricKinds; ++I) {
-    auto Kind = static_cast<support::MetricKind>(I);
-    const char *Name = support::metricKindName(Kind);
-    ASSERT_NE(Name, nullptr);
-    EXPECT_STRNE(Name, "unknown") << "kind " << I << " has no table entry";
-    EXPECT_TRUE(Seen.insert(Name).second)
-        << "duplicate metric kind name '" << Name << "'";
-    auto Back = support::metricKindFromName(Name);
-    ASSERT_TRUE(Back.has_value()) << Name;
-    EXPECT_EQ(*Back, Kind);
-  }
-  EXPECT_FALSE(support::metricKindFromName("").has_value());
-  EXPECT_FALSE(support::metricKindFromName("Counter").has_value());
-  EXPECT_FALSE(support::metricKindFromName("histogram ").has_value());
-}
-
 TEST(NameTables, RequestEventKindRoundTrips) {
   std::set<std::string> Seen;
   for (unsigned I = 0; I < service::NumRequestEventKinds; ++I) {
@@ -261,10 +242,15 @@ TEST(NameTables, RequestEventKindRoundTrips) {
     auto Back = service::requestEventKindFromName(Name);
     ASSERT_TRUE(Back.has_value()) << Name;
     EXPECT_EQ(*Back, Kind);
+    // The trace instant is the kind name under the "service." prefix.
+    EXPECT_EQ(std::string(service::requestEventTraceName(Kind)),
+              std::string("service.") + Name);
   }
   EXPECT_FALSE(service::requestEventKindFromName("").has_value());
   EXPECT_FALSE(service::requestEventKindFromName("Submitted").has_value());
   EXPECT_FALSE(service::requestEventKindFromName("shed ").has_value());
+  EXPECT_FALSE(
+      service::requestEventKindFromName("service.shed").has_value());
 }
 
 // The timeline-completeness law leans on exactly this terminal set; a new

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -122,6 +123,45 @@ TEST(Service, OverloadedShedsTyped) {
   Service.resume();
   EXPECT_TRUE(Service.wait(*A).hasValue());
   EXPECT_TRUE(Service.wait(*B).hasValue());
+}
+
+TEST(Service, ConcurrentSubmitsNeverExceedMaxOutstanding) {
+  // Paused, so nothing completes: every admission raises Outstanding for
+  // good, and the cap must hold exactly under concurrent submits.
+  ServiceOptions Options;
+  Options.StartPaused = true;
+  Options.QueueCapacity = 1 << 12;
+  Options.MaxOutstanding = 16;
+  GenerationService Service(gpu::makeV100(), Options);
+
+  const unsigned NumThreads = 8, PerThread = 32;
+  std::atomic<unsigned> Admitted{0}, Overloaded{0};
+  // Release every client at once, so the submits at the cap overlap.
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Clients;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Clients.emplace_back([&] {
+      while (!Go.load())
+        std::this_thread::yield();
+      for (unsigned I = 0; I < PerThread; ++I) {
+        ErrorOr<std::shared_ptr<PendingRequest>> Handle =
+            Service.submit(gemmRequest());
+        if (Handle)
+          ++Admitted;
+        else if (Handle.errorCode() == ErrorCode::Overloaded)
+          ++Overloaded;
+      }
+    });
+  Go.store(true);
+  for (std::thread &Client : Clients)
+    Client.join();
+
+  EXPECT_EQ(Admitted.load(), 16u);
+  EXPECT_EQ(Overloaded.load(), NumThreads * PerThread - 16);
+  ServiceStats Stats = Service.stats();
+  EXPECT_EQ(Stats.ShedOverloaded, 240u);
+  EXPECT_EQ(Stats.ShedQueueFull, 0u);
+  Service.stop(); // the 16 admitted requests fail typed (ServiceStopped)
 }
 
 TEST(Service, NegativeDeadlineShedsAtSubmit) {

@@ -12,13 +12,13 @@
 ///    samples; bucket boundaries land deterministically; per-thread shard
 ///    merges equal one histogram fed all samples.
 ///  - Timeline completeness: every request the service sees — plain runs
-///    and chaos storms over all injection sites — yields a timeline that
-///    starts with 'submitted' and ends with exactly one terminal event
-///    matching the typed outcome; request ids are unique; nothing is
-///    orphaned.
-///  - Exporters: the JSON snapshot renders the registry state (values
-///    cross-checked after a parse); the JSON-lines event sink emits one
-///    valid, kind-decodable object per line.
+///    and chaos storms over all injection sites — yields a timeline of
+///    "service.<kind>" trace instants that starts with 'submitted' and
+///    ends with exactly one terminal event matching the typed outcome;
+///    request ids are unique; nothing is orphaned.
+///  - The export: the JSON snapshot carries a pinned, name-sorted key set
+///    per section and the service's values (cross-checked after a
+///    parse), enough to check the conservation law from it alone.
 ///  - The perf-regression gate: bench_compare accepts each checked-in
 ///    perfbench result (BENCH_<workload>.json) and rejects copies degraded
 ///    past a BENCHMARK.json bound, from another run, or incorrect.
@@ -29,8 +29,8 @@
 #include "service/Telemetry.h"
 #include "support/FaultInjection.h"
 #include "support/JsonValue.h"
-#include "support/JsonWriter.h"
 #include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -48,18 +48,14 @@
 
 using namespace cogent;
 using service::GenerationService;
-using service::RequestEvent;
 using service::RequestEventKind;
 using service::ServiceOptions;
 using service::ServiceRequest;
 using service::ServiceResult;
 using service::ServiceStats;
-using service::ServiceTelemetry;
-using service::TelemetryOptions;
 using support::ConcurrentHistogram;
 using support::JsonValue;
 using support::LatencyHistogram;
-using support::MetricRegistry;
 
 namespace {
 
@@ -228,121 +224,50 @@ TEST(ConcurrentHistogram, CrossThreadShardMergeIsDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Registry and exporters
-//===----------------------------------------------------------------------===//
-
-TEST(MetricRegistry, JsonRendersTheRegistryState) {
-  MetricRegistry Registry;
-  Registry.counter("service.submitted").add(42);
-  Registry.counter("service.failed").add(3);
-  Registry.gauge("service.queue-depth").set(7.5);
-  ConcurrentHistogram &H = Registry.histogram("service.latency-ms");
-  for (int I = 1; I <= 100; ++I)
-    H.record(static_cast<double>(I));
-
-  EXPECT_EQ(Registry.kindOf("service.submitted"),
-            support::MetricKind::Counter);
-  EXPECT_EQ(Registry.kindOf("service.queue-depth"),
-            support::MetricKind::Gauge);
-  EXPECT_EQ(Registry.kindOf("service.latency-ms"),
-            support::MetricKind::Histogram);
-  EXPECT_FALSE(Registry.kindOf("no.such.metric").has_value());
-
-  std::string Json = Registry.renderJson();
-  std::string Err;
-  ASSERT_TRUE(support::validateJson(Json, &Err)) << Err << "\n" << Json;
-  ErrorOr<JsonValue> Parsed = support::parseJson(Json);
-  ASSERT_TRUE(Parsed.hasValue()) << Parsed.errorMessage();
-
-  const JsonValue *Counters = Parsed->find("counters");
-  ASSERT_NE(Counters, nullptr);
-  EXPECT_EQ(Counters->findNumber("service.submitted"), 42.0);
-  EXPECT_EQ(Counters->findNumber("service.failed"), 3.0);
-  const JsonValue *Gauges = Parsed->find("gauges");
-  ASSERT_NE(Gauges, nullptr);
-  EXPECT_EQ(Gauges->findNumber("service.queue-depth"), 7.5);
-  const JsonValue *Hists = Parsed->find("histograms");
-  ASSERT_NE(Hists, nullptr);
-  const JsonValue *Latency = Hists->find("service.latency-ms");
-  ASSERT_NE(Latency, nullptr);
-  EXPECT_EQ(Latency->findNumber("count"), 100.0);
-  LatencyHistogram Merged = H.merged();
-  EXPECT_EQ(Latency->findNumber("p50_ms"), Merged.quantileMs(50.0));
-  EXPECT_EQ(Latency->findNumber("p99_ms"), Merged.quantileMs(99.0));
-}
-
-TEST(ServiceTelemetry, EventRingIsBoundedAndCountsDrops) {
-  TelemetryOptions Options;
-  Options.EventCapacity = 8;
-  ServiceTelemetry Telemetry(Options);
-  for (int I = 0; I < 20; ++I)
-    Telemetry.recordEvent(Telemetry.beginRequest(),
-                          RequestEventKind::Submitted);
-  EXPECT_EQ(Telemetry.eventsRecorded(), 20u);
-  EXPECT_EQ(Telemetry.events().size(), 8u);
-  EXPECT_EQ(Telemetry.eventsDropped(), 12u);
-  // The ring keeps the newest events: ids 13..20 survive.
-  EXPECT_EQ(Telemetry.events().front().RequestId, 13u);
-  EXPECT_EQ(Telemetry.events().back().RequestId, 20u);
-}
-
-TEST(ServiceTelemetry, JsonlSinkEmitsOneValidObjectPerLine) {
-  std::string Path = ::testing::TempDir() + "telemetry_events.jsonl";
-  {
-    TelemetryOptions Options;
-    Options.EventLogJsonlPath = Path;
-    ServiceTelemetry Telemetry(Options);
-    uint64_t Id = Telemetry.beginRequest();
-    Telemetry.recordEvent(Id, RequestEventKind::Submitted, "ab-ac-cb");
-    Telemetry.recordEvent(Id, RequestEventKind::Dequeued, "0.25");
-    Telemetry.recordEvent(Id, RequestEventKind::Completed,
-                          "none \"quoted\" \\ detail");
-  }
-  std::ifstream File(Path);
-  ASSERT_TRUE(File.good());
-  std::string Line;
-  size_t Lines = 0;
-  while (std::getline(File, Line)) {
-    ++Lines;
-    std::string Err;
-    EXPECT_TRUE(support::validateJson(Line, &Err)) << Err << "\n" << Line;
-    ErrorOr<JsonValue> Parsed = support::parseJson(Line);
-    ASSERT_TRUE(Parsed.hasValue());
-    EXPECT_EQ(Parsed->findNumber("request"), 1.0);
-    const JsonValue *Kind = Parsed->find("event");
-    ASSERT_NE(Kind, nullptr);
-    EXPECT_TRUE(
-        service::requestEventKindFromName(Kind->asString()).has_value())
-        << Kind->asString();
-    ASSERT_TRUE(Parsed->findNumber("at_ms").has_value());
-  }
-  EXPECT_EQ(Lines, 3u);
-  std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
 // Request timelines
 //===----------------------------------------------------------------------===//
 
-/// Groups the retained events by request id, in record order.
-std::map<uint64_t, std::vector<RequestEvent>>
-timelines(const ServiceTelemetry &Telemetry) {
-  std::map<uint64_t, std::vector<RequestEvent>> ById;
-  for (const RequestEvent &Event : Telemetry.events())
-    ById[Event.RequestId].push_back(Event);
+/// One lifecycle event as read back from the trace.
+struct TimelineEvent {
+  RequestEventKind Kind;
+  double AtUs;
+};
+
+/// Groups \p Session's "service.*" instants that carry a "request" arg by
+/// request id, in record order.
+std::map<uint64_t, std::vector<TimelineEvent>>
+timelines(const support::TraceSession &Session) {
+  const std::string Prefix = "service.";
+  std::map<uint64_t, std::vector<TimelineEvent>> ById;
+  for (const support::TraceEvent &Event : Session.events()) {
+    std::string Name = Event.Name;
+    if (Event.Phase != 'i' || Name.rfind(Prefix, 0) != 0)
+      continue;
+    auto Request = std::find_if(
+        Event.Args.begin(), Event.Args.end(),
+        [](const auto &Arg) { return Arg.first == "request"; });
+    if (Request == Event.Args.end())
+      continue;
+    std::optional<RequestEventKind> Kind =
+        service::requestEventKindFromName(Name.substr(Prefix.size()));
+    EXPECT_TRUE(Kind.has_value()) << Name;
+    if (Kind)
+      ById[std::stoull(Request->second)].push_back(
+          {*Kind, Event.TimestampUs});
+  }
   return ById;
 }
 
 /// The timeline law: first event 'submitted', exactly one terminal event,
 /// and it is the last. \p ExpectTerminal, when set, pins its kind.
-void checkTimeline(const std::vector<RequestEvent> &Timeline,
+void checkTimeline(const std::vector<TimelineEvent> &Timeline,
                    std::optional<RequestEventKind> ExpectTerminal,
                    uint64_t Id) {
   ASSERT_FALSE(Timeline.empty()) << "request " << Id << " has no events";
   EXPECT_EQ(Timeline.front().Kind, RequestEventKind::Submitted)
       << "request " << Id;
   size_t Terminals = 0;
-  for (const RequestEvent &Event : Timeline)
+  for (const TimelineEvent &Event : Timeline)
     Terminals += service::isTerminalEvent(Event.Kind) ? 1 : 0;
   EXPECT_EQ(Terminals, 1u) << "request " << Id;
   EXPECT_TRUE(service::isTerminalEvent(Timeline.back().Kind))
@@ -353,10 +278,12 @@ void checkTimeline(const std::vector<RequestEvent> &Timeline,
   }
   // Timestamps never run backwards within one timeline.
   for (size_t I = 1; I < Timeline.size(); ++I)
-    EXPECT_GE(Timeline[I].AtMs, Timeline[I - 1].AtMs) << "request " << Id;
+    EXPECT_GE(Timeline[I].AtUs, Timeline[I - 1].AtUs) << "request " << Id;
 }
 
 TEST(ServiceTimelines, PlainRunProducesCompleteTimelines) {
+  support::TraceSession Session;
+  support::ScopedTraceActivation Active(&Session);
   ServiceOptions Options;
   Options.NumWorkers = 4;
   GenerationService Service(gpu::makeV100(), Options);
@@ -382,26 +309,23 @@ TEST(ServiceTimelines, PlainRunProducesCompleteTimelines) {
         << "duplicate request id " << Result->RequestId;
   }
 
-  auto ById = timelines(Service.telemetry());
+  auto ById = timelines(Session);
   EXPECT_EQ(ById.size(), Requests.size());
-  for (const auto &[Id, Timeline] : ById)
+  uint64_t Events = 0;
+  for (const auto &[Id, Timeline] : ById) {
     checkTimeline(Timeline, RequestEventKind::Completed, Id);
+    Events += Timeline.size();
+  }
+  // The events-recorded counter counts exactly the instants in the trace.
+  EXPECT_EQ(Service.eventsRecorded(), Events);
   // Completed results carry the id their timeline is filed under.
   for (const ErrorOr<ServiceResult> &Result : Results)
     EXPECT_EQ(ById.count(Result->RequestId), 1u);
-  // A coalesced or cache-served request says so in its timeline.
-  for (const auto &[Id, Timeline] : ById) {
-    bool SawCacheHit = false, SawCoalesced = false;
-    for (const RequestEvent &Event : Timeline) {
-      SawCacheHit |= Event.Kind == RequestEventKind::CacheHit;
-      SawCoalesced |= Event.Kind == RequestEventKind::Coalesced;
-    }
-    (void)SawCacheHit;
-    (void)SawCoalesced;
-  }
 }
 
 TEST(ServiceTimelines, ShedRequestsGetTerminalShedEvents) {
+  support::TraceSession Session;
+  support::ScopedTraceActivation Active(&Session);
   ServiceOptions Options;
   Options.NumWorkers = 1; // parked: requests stay queued until stop()
   Options.QueueCapacity = 2;
@@ -426,7 +350,7 @@ TEST(ServiceTimelines, ShedRequestsGetTerminalShedEvents) {
 
   Service.stop(); // queued requests fail typed (ServiceStopped)
 
-  auto ById = timelines(Service.telemetry());
+  auto ById = timelines(Session);
   ASSERT_EQ(ById.size(), 4u);
   std::multiset<RequestEventKind> Terminals;
   for (const auto &[Id, Timeline] : ById) {
@@ -462,6 +386,60 @@ TEST(ServiceTimelines, SnapshotReflectsServiceState) {
   const JsonValue *Latency = Hists->find("service.latency-ms");
   ASSERT_NE(Latency, nullptr);
   EXPECT_EQ(Latency->findNumber("count"), 4.0);
+}
+
+TEST(ServiceTimelines, SnapshotPinsItsKeySetPerSection) {
+  ServiceOptions Options;
+  Options.NumWorkers = 1;
+  GenerationService Service(gpu::makeV100(), Options);
+  ServiceRequest Request;
+  Request.Spec = "ab-ac-cb";
+  Request.Extents = {{'a', 8}, {'b', 8}, {'c', 8}};
+  ASSERT_TRUE(Service.process(Request).hasValue());
+
+  ErrorOr<JsonValue> Parsed = support::parseJson(Service.telemetrySnapshot());
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.errorMessage();
+  auto keys = [](const JsonValue &Object) {
+    std::vector<std::string> Names;
+    for (const auto &[Name, Value] : Object.asObject())
+      Names.push_back(Name);
+    return Names;
+  };
+  EXPECT_EQ(keys(*Parsed), (std::vector<std::string>{
+                               "counters", "gauges", "histograms"}));
+  // The whole export, in name-sorted order within each section.
+  const std::map<std::string, std::vector<std::string>> Expected = {
+      {"counters",
+       {"cache.hits", "cache.misses", "cache.quarantined",
+        "service.breaker-resets", "service.breaker-trips",
+        "service.coalesced", "service.completed",
+        "service.deadline-degraded", "service.deadline-expired",
+        "service.failed", "service.retries", "service.shed-expired",
+        "service.shed-overloaded", "service.shed-queue-full",
+        "service.shed-stopped", "service.submitted",
+        "telemetry.events-recorded"}},
+      {"gauges", {"cache.size", "service.outstanding", "service.queue-depth"}},
+      {"histograms", {"service.latency-ms", "service.queue-wait-ms"}},
+  };
+  for (const auto &[Section, Names] : Expected) {
+    const JsonValue *Metrics = Parsed->find(Section);
+    ASSERT_NE(Metrics, nullptr) << Section;
+    EXPECT_EQ(keys(*Metrics), Names) << Section;
+    EXPECT_TRUE(std::is_sorted(Names.begin(), Names.end())) << Section;
+  }
+  const std::vector<std::string> HistogramFields = {
+      "count",  "sum_ms", "min_ms", "max_ms", "mean_ms",
+      "p50_ms", "p90_ms", "p99_ms", "p999_ms"};
+  for (const auto &[Name, Histogram] : Parsed->find("histograms")->asObject())
+    EXPECT_EQ(keys(Histogram), HistogramFields) << Name;
+  // One request: submitted, dequeued, attempt-start, completed.
+  const JsonValue *Counters = Parsed->find("counters");
+  EXPECT_EQ(Counters->findNumber("telemetry.events-recorded"), 4.0);
+  EXPECT_EQ(Counters->findNumber("cache.misses"), 1.0);
+  const JsonValue *Gauges = Parsed->find("gauges");
+  EXPECT_EQ(Gauges->findNumber("cache.size"), 1.0);
+  EXPECT_EQ(Gauges->findNumber("service.outstanding"), 0.0);
+  EXPECT_EQ(Gauges->findNumber("service.queue-depth"), 0.0);
 }
 
 TEST(ServiceTimelines, SnapshotAloneCarriesEveryServiceInvariant) {
@@ -535,6 +513,8 @@ TEST(ServiceTimelines, SnapshotAloneCarriesEveryServiceInvariant) {
 #ifdef COGENT_CHAOS_ENABLED
 TEST(ServiceTimelines, ChaosStormKeepsEveryTimelineComplete) {
   for (uint64_t Seed : {1ull, 7ull, 23ull}) {
+    support::TraceSession Session;
+    support::ScopedTraceActivation Active(&Session);
     ServiceOptions Options;
     Options.NumWorkers = 4;
     Options.MaxRetries = 2;
@@ -572,7 +552,7 @@ TEST(ServiceTimelines, ChaosStormKeepsEveryTimelineComplete) {
       Client.join();
 
     ServiceStats Stats = Service.stats();
-    auto ById = timelines(Service.telemetry());
+    auto ById = timelines(Session);
     // No orphaned or duplicate ids: one timeline per submitted request
     // (ids are unique by construction; the map collapses duplicates, so
     // equality means both laws hold), each with exactly one terminal
