@@ -6,7 +6,8 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the generator itself: end-to-end
-/// generation, enumeration, cost-model ranking and CUDA emission. The paper
+/// generation, the compact enumeration and ranking that generate() runs,
+/// one cost-model evaluation and CUDA emission. The paper
 /// contrasts COGENT's model-driven seconds with TC's hours (~8514 s of
 /// autotuning for SD2_1); these timings quantify our side of that claim.
 ///
@@ -58,8 +59,8 @@ void BM_EnumerateSd2_1(benchmark::State &State) {
   ir::Contraction TC = entryContraction(31);
   core::Enumerator Enum(TC, Device);
   for (auto _ : State) {
-    std::vector<core::KernelConfig> Configs = Enum.enumerate();
-    benchmark::DoNotOptimize(Configs);
+    core::CandidateSet Candidates = Enum.search();
+    benchmark::DoNotOptimize(Candidates);
   }
 }
 BENCHMARK(BM_EnumerateSd2_1)->Unit(benchmark::kMillisecond);
@@ -80,15 +81,9 @@ BENCHMARK(BM_CostModelSingleConfig);
 void BM_RankSd2_1(benchmark::State &State) {
   gpu::DeviceSpec Device = gpu::makeV100();
   ir::Contraction TC = entryContraction(31);
-  core::Enumerator Enum(TC, Device);
-  const std::vector<core::KernelConfig> Survivors = Enum.enumerate();
+  const core::CandidateSet Candidates = core::Enumerator(TC, Device).search();
   verify::PlanVerifier Verifier(Device, 8);
-  std::vector<core::KernelConfig> Candidates;
   for (auto _ : State) {
-    // Ranking moves the accepted configs out; refill outside the timing.
-    State.PauseTiming();
-    Candidates = Survivors;
-    State.ResumeTiming();
     std::vector<core::RankedCandidate> Ranking = core::rankCandidates(
         TC, Candidates, Verifier, /*TopK=*/1, [](const Error &) {});
     benchmark::DoNotOptimize(Ranking);

@@ -75,7 +75,9 @@
 /// after the batch completes; --stats-interval-ms N prints a
 /// "# stats: {...}" one-line JSON progress dump to stderr every N ms while
 /// the batch runs.
-/// Both flags require --batch-file (usage error otherwise).
+/// Both flags require --batch-file (usage error otherwise). Conversely the
+/// single-request outputs --trace, --metrics and --explain* are usage
+/// errors in batch mode.
 ///
 /// Exit codes: 0 = success — including runs where the plan verifier
 /// rejected candidates and the fallback chain rescued the result (a
@@ -490,9 +492,25 @@ int main(int Argc, char **Argv) {
                          "require --batch-file\n");
     return 2;
   }
-  if (!BatchPath.empty())
+  if (!BatchPath.empty()) {
+    // Batch mode reports through the "# ok:" lines, the tally and
+    // --telemetry-json; these single-request outputs have nothing to
+    // describe there, so accepting them would silently drop them.
+    for (const auto &[Given, Flag] :
+         {std::pair{!TracePath.empty(), "--trace"},
+          {!MetricsPath.empty(), "--metrics"},
+          {Explain, "--explain"},
+          {ExplainLint, "--explain-lint"},
+          {ExplainRaces, "--explain-races"},
+          {ExplainDataflow, "--explain-dataflow"}})
+      if (Given) {
+        std::fprintf(stderr, "error: %s is not supported with --batch-file\n",
+                     Flag);
+        return 2;
+      }
     return runBatch(BatchPath, Device, Options, Jobs, RequestDeadlineMs,
                     Quiet, TelemetryJsonPath, StatsIntervalMs);
+  }
   if (Spec.empty()) {
     printUsage(Argv[0]);
     return 2;

@@ -78,6 +78,7 @@ run "$CLI" --batch-file batch.txt --jobs 4 --quiet --telemetry-json tm.json \
 run "$B/tools/json_lint" tm.json
 run "$CLI" ab-ac-cb 24 --telemetry-json tm.json
 run "$CLI" --batch-file batch.txt --stats-interval-ms -5
+run "$CLI" --batch-file batch.txt --trace=bt.json
 
 for example in $EXAMPLES; do
   run "$B/examples/$example"

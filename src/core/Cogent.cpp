@@ -149,14 +149,14 @@ Contraction buildTtgtGemm(const Contraction &TC) {
 } // namespace
 
 std::vector<RankedCandidate> cogent::core::rankCandidates(
-    const Contraction &TC, std::vector<KernelConfig> &Candidates,
+    const Contraction &TC, const CandidateSet &Candidates,
     const verify::PlanVerifier &Verifier, size_t TopK,
     const std::function<void(const Error &)> &OnReject) {
   NumKernelsRanked += Candidates.size();
   const gpu::DeviceSpec &Device = Verifier.device();
   unsigned ElementSize = Verifier.elementSize();
 
-  // One candidate's rank key. Index names its config in Candidates, so
+  // One candidate's rank key. Index names its triple in Candidates, so
   // ordering moves small PODs, never a KernelConfig; as the last tie-break
   // it makes the order reproduce a stable sort on the first three fields.
   // A block that cannot be resident (BlocksPerSM == 0) needs no key of its
@@ -175,11 +175,11 @@ std::vector<RankedCandidate> cogent::core::rankCandidates(
   std::vector<RankKey> Keys;
   Keys.reserve(Candidates.size());
   for (size_t I = 0; I < Candidates.size(); ++I) {
-    const KernelConfig &Config = Candidates[I];
+    TileTable Tiles = Candidates.tileTable(Candidates.Triples[I]);
     TransactionCost Cost;
     bool CostOk = false;
     for (unsigned Attempt = 0; Attempt < CostRetries && !CostOk; ++Attempt) {
-      Cost = estimateTransactions(TC, Config, ElementSize,
+      Cost = estimateTransactions(TC, Tiles, ElementSize,
                                   Device.TransactionBytes);
       ErrorOr<void> CostCheck = Verifier.verifyCost(TC, Cost);
       CostOk = CostCheck.hasValue();
@@ -188,9 +188,9 @@ std::vector<RankedCandidate> cogent::core::rankCandidates(
     }
     if (!CostOk)
       continue;
-    gpu::OccupancyResult Occ = planOccupancy(Config, Device, ElementSize);
-    Keys.push_back(
-        {Cost.total(), Occ.Occupancy, Config.threadsPerBlock(), I, Cost, Occ});
+    gpu::OccupancyResult Occ = planOccupancy(Tiles.Sizes, Device, ElementSize);
+    Keys.push_back({Cost.total(), Occ.Occupancy,
+                    Tiles.Sizes.threadsPerBlock(), I, Cost, Occ});
   }
   // Ranks after: the heap below keeps the best key on top.
   auto RanksAfter = [](const RankKey &X, const RankKey &Y) {
@@ -203,17 +203,18 @@ std::vector<RankedCandidate> cogent::core::rankCandidates(
     return X.Index > Y.Index;
   };
 
-  // Plans are built and verified lazily, in rank order: a rejected head
-  // demotes to the next key, and the walk stops once TopK passed. The keys
-  // form a total order, so popping a heap visits them exactly as sorting
-  // would, at O(log n) per visited key instead of a full sort.
+  // Configs and plans are built and verified lazily, in rank order: a
+  // rejected head demotes to the next key, and the walk stops once TopK
+  // passed. The keys form a total order, so popping a heap visits them
+  // exactly as sorting would, at O(log n) per visited key instead of a
+  // full sort.
   std::make_heap(Keys.begin(), Keys.end(), RanksAfter);
   std::vector<RankedCandidate> Ranking;
   while (!Keys.empty() && Ranking.size() < TopK) {
     std::pop_heap(Keys.begin(), Keys.end(), RanksAfter);
     RankKey Key = Keys.back();
     Keys.pop_back();
-    KernelConfig &Config = Candidates[Key.Index];
+    KernelConfig Config = Candidates.config(Candidates.Triples[Key.Index]);
     if (ErrorOr<void> PlanCheck = Verifier.verifyPlan(KernelPlan(TC, Config));
         !PlanCheck) {
       OnReject(PlanCheck.error());
@@ -255,7 +256,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
   Options.Enumeration.MaxConfigs = Options.Budget.MaxConfigs;
   Options.Enumeration.DeadlineMs = Options.Budget.DeadlineMs;
   GenerationResult Result;
-  std::vector<KernelConfig> Configs;
+  CandidateSet Candidates;
   // Degraded entry (CogentOptions::StartRung): a caller out of deadline
   // budget skips the expensive search and starts the chain at a cheap
   // rung directly — enumeration never runs, so its cost is exactly zero.
@@ -263,17 +264,17 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     support::TraceSpan Span("cogent.enumerate");
     try {
       Enumerator Enum(TC, Device, Options.Enumeration);
-      Configs = Enum.enumerate(&Result.Stats);
+      Candidates = Enum.search(&Result.Stats);
     } catch (const std::bad_alloc &) {
       // Allocation failure mid-search (real or injected): discard the
       // partial search and continue on the fallback chain — the no-kernel
       // guarantee outranks the lost candidates.
-      Configs.clear();
+      Candidates = CandidateSet();
       Result.EnumerationAborted = true;
       ++NumEnumerationsAborted;
       support::traceInstant("cogent.enumeration-aborted");
     }
-    Span.arg("survivors", std::to_string(Configs.size()));
+    Span.arg("survivors", std::to_string(Candidates.size()));
     Result.Phases.EnumerateMs = Span.elapsedMs();
   } else {
     support::traceInstant(
@@ -304,13 +305,14 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     support::traceInstant("cogent.verifier-reject", {{"error", E.message()}});
   };
 
-  // Rank on the cost model; only the accepted head gets a verified plan.
-  auto rankVerified = [&](std::vector<KernelConfig> &Candidates,
+  // Rank on the cost model; only the accepted head gets a config and a
+  // verified plan.
+  auto rankVerified = [&](const CandidateSet &Set,
                           const Contraction &RankTC) {
     support::TraceSpan Span("cogent.rank");
-    Span.arg("candidates", std::to_string(Candidates.size()));
+    Span.arg("candidates", std::to_string(Set.size()));
     std::vector<RankedCandidate> Ranking =
-        rankCandidates(RankTC, Candidates, Verifier,
+        rankCandidates(RankTC, Set, Verifier,
                        std::max<size_t>(Options.TopK, 1), NoteRejection);
     Result.Phases.RankMs += Span.elapsedMs();
     return Ranking;
@@ -422,8 +424,8 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
   // pruned search -> minimal tiles -> TTGT. A rung that produces no
   // verified, emitted kernel demotes to the next.
   bool Done = false;
-  if (!Configs.empty()) {
-    std::vector<RankedCandidate> Ranking = rankVerified(Configs, TC);
+  if (!Candidates.empty()) {
+    std::vector<RankedCandidate> Ranking = rankVerified(Candidates, TC);
     if (!Ranking.empty())
       Done = emitVerified(Ranking, TC);
     if (!Done)
@@ -439,9 +441,8 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
       support::traceInstant(
           "cogent.fallback-rung",
           {{"level", fallbackLevelName(FallbackLevel::MinimalTile)}});
-      std::vector<KernelConfig> One;
-      One.push_back(std::move(Minimal));
-      std::vector<RankedCandidate> Ranking = rankVerified(One, TC);
+      std::vector<RankedCandidate> Ranking =
+          rankVerified(CandidateSet::single(TC, Minimal), TC);
       if (!Ranking.empty())
         Done = emitVerified(Ranking, TC);
       if (!Done)
@@ -464,9 +465,8 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     GemmConfig.XInput = Gemm.inputContaining(GemmFvi);
     GemmConfig.TBx = {{GemmFvi, 1}};
     assert(GemmConfig.validate(Gemm).empty());
-    std::vector<KernelConfig> One;
-    One.push_back(std::move(GemmConfig));
-    std::vector<RankedCandidate> Ranking = rankVerified(One, Gemm);
+    std::vector<RankedCandidate> Ranking =
+        rankVerified(CandidateSet::single(Gemm, GemmConfig), Gemm);
     if (!Ranking.empty())
       Done = emitVerified(Ranking, Gemm);
     Result.Phases.FallbackMs += Span.elapsedMs();

@@ -232,18 +232,17 @@ struct RankedCandidate {
 /// device and element size. Rank order: fewer modeled transactions, then
 /// higher occupancy, then more threads per block, then enumeration order.
 ///
-/// Every candidate is scored from its KernelConfig alone
-/// (estimateTransactions and planOccupancy's config overloads); its cost
-/// must pass Verifier.verifyCost within 4 estimates, or it is dropped.
-/// A KernelPlan is built and checked with Verifier.verifyPlan only in rank
-/// order, until \p TopK pass: a rejected candidate (among them every block
-/// that cannot be resident) is skipped, so the result equals the first
-/// TopK entries of ranking only the candidates whose plans verify. Each
-/// verifier rejection is passed to \p OnReject. The accepted configs are
-/// moved out of \p Candidates.
+/// Every triple is scored from its tile table (CandidateSet::tileTable,
+/// estimateTransactions and planOccupancy on the table); its cost must
+/// pass Verifier.verifyCost within 4 estimates, or it is dropped. The
+/// keys are popped from a heap in rank order, and only a popped key gets
+/// a KernelConfig, a KernelPlan and a Verifier.verifyPlan check, until
+/// \p TopK pass: a rejected candidate (among them every block that cannot
+/// be resident) is skipped, so the result equals the first TopK entries of
+/// ranking only the candidates whose plans verify. Each verifier rejection
+/// is passed to \p OnReject.
 std::vector<RankedCandidate>
-rankCandidates(const ir::Contraction &TC,
-               std::vector<KernelConfig> &Candidates,
+rankCandidates(const ir::Contraction &TC, const CandidateSet &Candidates,
                const verify::PlanVerifier &Verifier, size_t TopK,
                const std::function<void(const Error &)> &OnReject);
 

@@ -52,49 +52,25 @@ static int64_t contiguousRunOf(const ir::Contraction &TC, Operand Op,
 }
 
 TransactionCost cogent::core::estimateTransactions(const ir::Contraction &TC,
-                                                   const KernelConfig &Config,
+                                                   const TileTable &Tiles,
                                                    unsigned ElementSize,
                                                    unsigned TransactionBytes) {
   assert((ElementSize == 4 || ElementSize == 8) && "unsupported element size");
   ++NumCostEvaluations;
   int64_t ElemsPerTrans = TransactionBytes / ElementSize;
-
-  // One tile per index name (unmapped indices keep tile 1), filled in one
-  // pass that also takes the TBx/TBy/RegX/RegY products of the C tile.
-  std::array<int64_t, 26> Tile;
-  Tile.fill(1);
-  auto fill = [&](const std::vector<IndexTile> &List) {
-    int64_t Product = 1;
-    for (const IndexTile &T : List) {
-      Tile[static_cast<size_t>(T.Name - 'a')] = T.Tile;
-      Product *= T.Tile;
-    }
-    return Product;
-  };
-  int64_t CSliceElems = fill(Config.TBx) * fill(Config.TBy) *
-                        fill(Config.RegX) * fill(Config.RegY);
-  fill(Config.TBk);
-  auto tileOf = [&](char Name) {
-    return Tile[static_cast<size_t>(Name - 'a')];
-  };
+  const std::array<int64_t, 26> &Tile = Tiles.Tile;
   auto sliceElements = [&](Operand Op) {
     int64_t Elems = 1;
     for (char Name : TC.indices(Op))
-      Elems *= tileOf(Name);
+      Elems *= Tile[static_cast<size_t>(Name - 'a')];
     return Elems;
   };
-  // Blocks over C's (external) indices, steps over A's internal indices:
-  // KernelConfig::numThreadBlocks and numSteps, read from the table.
-  int64_t Blocks = 1, Steps = 1;
-  for (char Name : TC.indices(Operand::C))
-    Blocks *= ceilDiv(TC.extent(Name), tileOf(Name));
-  for (char Name : TC.indices(Operand::A))
-    if (TC.isInternal(Name))
-      Steps *= ceilDiv(TC.extent(Name), tileOf(Name));
+  const TileSizes &Sizes = Tiles.Sizes;
+  int64_t CSliceElems = Sizes.TBx * Sizes.TBy * Sizes.RegX * Sizes.RegY;
 
   TransactionCost Cost;
   double BlockSteps =
-      static_cast<double>(Blocks) * static_cast<double>(Steps);
+      static_cast<double>(Tiles.Blocks) * static_cast<double>(Tiles.Steps);
   Cost.LoadA = transactionsPerSlice(sliceElements(Operand::A),
                                     contiguousRunOf(TC, Operand::A, Tile),
                                     ElemsPerTrans) *
@@ -106,7 +82,7 @@ TransactionCost cogent::core::estimateTransactions(const ir::Contraction &TC,
   Cost.StoreC = transactionsPerSlice(CSliceElems,
                                      contiguousRunOf(TC, Operand::C, Tile),
                                      ElemsPerTrans) *
-                static_cast<double>(Blocks);
+                static_cast<double>(Tiles.Blocks);
   // Chaos site: a misranking cost model. All three components scale by one
   // factor so the lie is self-consistent; PlanVerifier::verifyCost catches
   // estimates perturbed below the compulsory-traffic bound.
@@ -118,6 +94,14 @@ TransactionCost cogent::core::estimateTransactions(const ir::Contraction &TC,
     Cost.StoreC *= Factor;
   }
   return Cost;
+}
+
+TransactionCost cogent::core::estimateTransactions(const ir::Contraction &TC,
+                                                   const KernelConfig &Config,
+                                                   unsigned ElementSize,
+                                                   unsigned TransactionBytes) {
+  return estimateTransactions(TC, Config.tileTable(TC), ElementSize,
+                              TransactionBytes);
 }
 
 TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
@@ -279,14 +263,20 @@ double cogent::core::smemBankConflictFactor(const KernelPlan &Plan,
   return (XFactor + YFactor) / 2.0;
 }
 
-gpu::OccupancyResult cogent::core::planOccupancy(const KernelConfig &Config,
+gpu::OccupancyResult cogent::core::planOccupancy(const TileSizes &Sizes,
                                                  const gpu::DeviceSpec &Device,
                                                  unsigned ElementSize) {
   gpu::BlockResources Block;
-  Block.ThreadsPerBlock = static_cast<unsigned>(Config.threadsPerBlock());
-  Block.SharedMemBytes = static_cast<unsigned>(Config.smemBytes(ElementSize));
-  Block.RegistersPerThread = Config.registersPerThread(ElementSize);
+  Block.ThreadsPerBlock = static_cast<unsigned>(Sizes.threadsPerBlock());
+  Block.SharedMemBytes = static_cast<unsigned>(Sizes.smemBytes(ElementSize));
+  Block.RegistersPerThread = Sizes.registersPerThread(ElementSize);
   return gpu::computeOccupancy(Device, Block);
+}
+
+gpu::OccupancyResult cogent::core::planOccupancy(const KernelConfig &Config,
+                                                 const gpu::DeviceSpec &Device,
+                                                 unsigned ElementSize) {
+  return planOccupancy(Config.sizes(), Device, ElementSize);
 }
 
 gpu::OccupancyResult cogent::core::planOccupancy(const KernelPlan &Plan,

@@ -38,9 +38,19 @@ struct TransactionCost {
 /// of transactions per staged slice is the number of contiguous runs times
 /// the transactions per run, multiplied by steps and thread blocks.
 ///
-/// Reads only \p Config's tiles and \p TC's index lists and extents, so
-/// ranking never materializes a KernelPlan. The slice sizes, cal_Cont runs,
-/// block and step counts are the ones KernelPlan derives for the same pair.
+/// This is the one body of the estimate. It reads only \p Tiles and \p TC's
+/// index lists and extents, so ranking never materializes a KernelConfig or
+/// a KernelPlan: the enumerator's candidate triples fill the table from
+/// their partials (CandidateSet::tileTable). The slice sizes, cal_Cont
+/// runs, block and step counts are the ones KernelPlan derives for the
+/// same configuration.
+/// \pre \p Tiles describes a configuration that validates against \p TC.
+TransactionCost estimateTransactions(const ir::Contraction &TC,
+                                     const TileTable &Tiles,
+                                     unsigned ElementSize,
+                                     unsigned TransactionBytes = 128);
+
+/// The same estimate for \p Config's tile table.
 /// \pre Config.validate(TC) returned an empty string.
 TransactionCost estimateTransactions(const ir::Contraction &TC,
                                      const KernelConfig &Config,
@@ -71,6 +81,11 @@ TransactionCost estimateTransactionsPaper(const KernelPlan &Plan,
 gpu::KernelProfile makeKernelProfile(const KernelPlan &Plan,
                                      const gpu::DeviceSpec &Device,
                                      unsigned ElementSize);
+
+/// Occupancy of the block footprint of \p Sizes on \p Device.
+gpu::OccupancyResult planOccupancy(const TileSizes &Sizes,
+                                   const gpu::DeviceSpec &Device,
+                                   unsigned ElementSize);
 
 /// Occupancy of \p Config's block footprint on \p Device.
 gpu::OccupancyResult planOccupancy(const KernelConfig &Config,

@@ -6,14 +6,13 @@
 
 #include "core/Enumerator.h"
 
-#include "core/CostModel.h"
-#include "core/KernelPlan.h"
 #include "gpu/Occupancy.h"
 #include "support/Counters.h"
 #include "support/FaultInjection.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -51,13 +50,6 @@ namespace {
 /// The paper's thread-block and register tile sizes (§IV-A).
 constexpr int64_t TBSizes[] = {4, 8, 16};
 constexpr int64_t RegSizes[] = {2, 4, 6, 8};
-
-/// A partially determined configuration: one TB list plus one register-tile
-/// list for a single side (X or Y), or a TBk list (Reg unused).
-struct PartialConfig {
-  std::vector<IndexTile> TB;
-  std::vector<IndexTile> Reg;
-};
 
 std::string keyOf(const std::vector<IndexTile> &List) {
   // Order-insensitive beyond the first element (the forced coalescing
@@ -235,7 +227,121 @@ enumerateK(const Contraction &TC) {
   return Result;
 }
 
+int64_t ceilDiv(int64_t X, int64_t Y) { return (X + Y - 1) / Y; }
+
+/// Which list of the product a partial belongs to.
+enum class Side { X, Y, K };
+
+/// Fills \p Partial's precomputed fields. \p SideIndices are the indices
+/// its Factor runs over: the side's externals, or the internals for TBk.
+void finishPartial(const Contraction &TC, Operand XInput, Side S,
+                   const std::vector<char> &SideIndices,
+                   PartialConfig &Partial) {
+  // The lists on their own pass validate exactly when a config holding
+  // them passes it next to a one-thread TBx on the output FVI: ownership,
+  // kind and tile range are per list, and a Y or TBk list naming the
+  // output FVI clashes with every valid X partial anyway.
+  KernelConfig Probe;
+  Probe.XInput = XInput;
+  switch (S) {
+  case Side::X:
+    Probe.TBx = Partial.TB;
+    Probe.RegX = Partial.Reg;
+    break;
+  case Side::Y:
+    Probe.TBx = {{TC.fvi(Operand::C), 1}};
+    Probe.TBy = Partial.TB;
+    Probe.RegY = Partial.Reg;
+    break;
+  case Side::K:
+    Probe.TBx = {{TC.fvi(Operand::C), 1}};
+    Probe.TBk = Partial.TB;
+    break;
+  }
+  Partial.Valid = Probe.validate(TC).empty();
+  if (!Partial.Valid)
+    return; // an invalid partial never reaches the other fields
+  std::array<int64_t, 26> Tile;
+  Tile.fill(1);
+  for (const IndexTile &T : Partial.TB) {
+    Partial.TBSize *= T.Tile;
+    Partial.Mask |= 1u << (T.Name - 'a');
+    Partial.FviCover |= 1u << (T.Name - 'a');
+    Tile[static_cast<size_t>(T.Name - 'a')] = T.Tile;
+  }
+  for (const IndexTile &T : Partial.Reg) {
+    Partial.RegSize *= T.Tile;
+    Partial.Mask |= 1u << (T.Name - 'a');
+    if (T.Tile > 1)
+      Partial.FviCover |= 1u << (T.Name - 'a');
+    Tile[static_cast<size_t>(T.Name - 'a')] = T.Tile;
+  }
+  for (char Name : SideIndices)
+    Partial.Factor *=
+        ceilDiv(TC.extent(Name), Tile[static_cast<size_t>(Name - 'a')]);
+}
+
+/// Fills the precomputed fields of every partial in \p Set.
+void finishPartials(const Contraction &TC, CandidateSet &Set) {
+  Operand YInput = Set.XInput == Operand::A ? Operand::B : Operand::A;
+  auto externalsOf = [&](Operand Input) {
+    std::vector<char> Names;
+    for (char Name : TC.indices(Input))
+      if (TC.isExternal(Name))
+        Names.push_back(Name);
+    return Names;
+  };
+  std::vector<char> XSide = externalsOf(Set.XInput);
+  std::vector<char> YSide = externalsOf(YInput);
+  std::vector<char> Internals = TC.internalIndices();
+  for (PartialConfig &P : Set.X)
+    finishPartial(TC, Set.XInput, Side::X, XSide, P);
+  for (PartialConfig &P : Set.Y)
+    finishPartial(TC, Set.XInput, Side::Y, YSide, P);
+  for (PartialConfig &P : Set.K)
+    finishPartial(TC, Set.XInput, Side::K, Internals, P);
+}
+
 } // namespace
+
+TileTable CandidateSet::tileTable(CandidateTriple T) const {
+  TileTable Table;
+  Table.Tile.fill(1);
+  for (const PartialConfig *Partial : {&X[T.X], &Y[T.Y], &K[T.K]}) {
+    for (const IndexTile &Entry : Partial->TB)
+      Table.Tile[static_cast<size_t>(Entry.Name - 'a')] = Entry.Tile;
+    for (const IndexTile &Entry : Partial->Reg)
+      Table.Tile[static_cast<size_t>(Entry.Name - 'a')] = Entry.Tile;
+  }
+  Table.Sizes = sizes(T);
+  Table.Blocks = X[T.X].Factor * Y[T.Y].Factor;
+  Table.Steps = K[T.K].Factor;
+  return Table;
+}
+
+KernelConfig CandidateSet::config(CandidateTriple T) const {
+  KernelConfig Config;
+  Config.XInput = XInput;
+  Config.TBx = X[T.X].TB;
+  Config.RegX = X[T.X].Reg;
+  Config.TBy = Y[T.Y].TB;
+  Config.RegY = Y[T.Y].Reg;
+  Config.TBk = K[T.K].TB;
+  return Config;
+}
+
+CandidateSet CandidateSet::single(const Contraction &TC,
+                                  const KernelConfig &Config) {
+  assert(Config.validate(TC).empty() && "single() needs a valid config");
+  CandidateSet Set;
+  Set.XInput = Config.XInput;
+  Set.X.push_back({Config.TBx, Config.RegX});
+  Set.Y.push_back({Config.TBy, Config.RegY});
+  Set.K.push_back({Config.TBk, {}});
+  finishPartials(TC, Set);
+  Set.Triples.push_back({});
+  return Set;
+}
 
 Enumerator::Enumerator(const Contraction &TCIn,
                        const gpu::DeviceSpec &DeviceIn,
@@ -277,8 +383,7 @@ double Enumerator::naiveSearchSpace(const Contraction &TC) {
   return Mapping * TileSizes;
 }
 
-std::vector<KernelConfig>
-Enumerator::enumerate(EnumerationStats *Stats) const {
+CandidateSet Enumerator::search(EnumerationStats *Stats) const {
   char OutFvi = TC.fvi(Operand::C);
   Operand XInput = TC.inputContaining(OutFvi);
   Operand YInput = XInput == Operand::A ? Operand::B : Operand::A;
@@ -291,55 +396,33 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
         Pool.push_back(Name);
     return Pool;
   };
-  std::vector<char> XPool = externalPool(XInput, OutFvi);
-  std::vector<char> YPool = externalPool(YInput, /*Exclude=*/0);
-
-  std::vector<PartialConfig> XPartials = enumerateSide(TC, OutFvi, XPool);
-  std::vector<PartialConfig> YPartials =
-      enumerateSide(TC, /*Forced=*/0, YPool);
-  std::vector<PartialConfig> KPartials = enumerateK(TC);
+  CandidateSet Set;
+  Set.XInput = XInput;
+  Set.X = enumerateSide(TC, OutFvi, externalPool(XInput, OutFvi));
+  Set.Y = enumerateSide(TC, /*Forced=*/0, externalPool(YInput, 0));
+  Set.K = enumerateK(TC);
+  finishPartials(TC, Set);
 
   EnumerationStats Local;
-  Local.RawConfigs = static_cast<uint64_t>(XPartials.size()) *
-                     YPartials.size() * KPartials.size();
+  Local.RawConfigs =
+      static_cast<uint64_t>(Set.X.size()) * Set.Y.size() * Set.K.size();
 
   // FVI performance constraints (§IV-A2): each input's own FVI must be part
-  // of the dimension that walks it during coalesced loads.
-  char XFvi = TC.fvi(XInput);
-  char YFvi = TC.fvi(YInput);
-  auto listContains = [](const std::vector<IndexTile> &List, char Name) {
-    for (const IndexTile &T : List)
-      if (T.Name == Name)
-        return true;
-    return false;
-  };
+  // of the dimension that walks it during coalesced loads — staged in TBk
+  // when internal; when external, mapped on its side's TB list or covered
+  // by a register tile above 1 (which still yields contiguous per-thread
+  // runs during the flattened slice load). In a valid triple only the
+  // owning partial can name the FVI, so the union of the three FviCover
+  // masks decides. A degenerate (extent-1) FVI has nothing to coalesce.
+  uint32_t NeedFvi = 0;
+  for (char Fvi : {TC.fvi(XInput), TC.fvi(YInput)})
+    if (TC.extent(Fvi) != 1)
+      NeedFvi |= 1u << (Fvi - 'a');
 
-  auto passesFvi = [&](const KernelConfig &Config) {
-    auto coversInputFvi = [&](char Fvi, const std::vector<IndexTile> &TBList) {
-      if (TC.extent(Fvi) == 1)
-        return true; // degenerate dimension: nothing to coalesce
-      if (TC.isInternal(Fvi))
-        return listContains(Config.TBk, Fvi);
-      // External: it must be mapped with a real tile on its side's TB list
-      // or covered fully by a register tile (which still yields contiguous
-      // per-thread runs during the flattened slice load).
-      return listContains(TBList, Fvi) ||
-             Config.tileOf(Fvi) > 1;
-    };
-    return coversInputFvi(XFvi, Config.TBx) && coversInputFvi(YFvi, Config.TBy);
-  };
+  std::vector<CandidateTriple> PerfPrunedOnly; // for relaxation
 
-  enum class PruneReason { None, Invalid, Hardware, Performance };
-  struct Candidate {
-    KernelConfig Config;
-    PruneReason Reason = PruneReason::None;
-  };
-
-  std::vector<KernelConfig> Survivors;
-  std::vector<KernelConfig> PerfPrunedOnly; // for relaxation
-
-  // Cooperative budget checks: the candidate cap is tested per config, the
-  // deadline every DeadlineStride configs (a steady_clock read per
+  // Cooperative budget checks: the candidate cap is tested per triple, the
+  // deadline every DeadlineStride triples (a steady_clock read per
   // candidate would dominate small enumerations).
   auto StartTime = std::chrono::steady_clock::now();
   constexpr uint64_t DeadlineStride = 256;
@@ -366,29 +449,30 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
   if (support::chaosShouldFire(support::ChaosSite::EnumeratorAlloc))
     throw std::bad_alloc();
 
-  for (const PartialConfig &X : XPartials) {
-    for (const PartialConfig &Y : YPartials) {
-      for (const PartialConfig &K : KPartials) {
+  for (uint32_t XI = 0; XI < Set.X.size(); ++XI) {
+    for (uint32_t YI = 0; YI < Set.Y.size(); ++YI) {
+      for (uint32_t KI = 0; KI < Set.K.size(); ++KI) {
         if (budgetStop())
           goto searchDone;
         ++Local.Examined;
-        KernelConfig Config;
-        Config.XInput = XInput;
-        Config.TBx = X.TB;
-        Config.RegX = X.Reg;
-        Config.TBy = Y.TB;
-        Config.RegY = Y.Reg;
-        Config.TBk = K.TB;
+        const PartialConfig &X = Set.X[XI];
+        const PartialConfig &Y = Set.Y[YI];
+        const PartialConfig &K = Set.K[KI];
+        CandidateTriple Triple{XI, YI, KI};
 
-        if (!Config.validate(TC).empty()) {
+        // Structural validity (KernelConfig::validate): each list valid on
+        // its own, and no index mapped by two partials.
+        if (!X.Valid || !Y.Valid || !K.Valid || (X.Mask & Y.Mask) != 0 ||
+            ((X.Mask | Y.Mask) & K.Mask) != 0) {
           ++Local.InvalidConfigs;
           continue;
         }
 
         // Hardware constraints.
-        int64_t Threads = Config.threadsPerBlock();
-        int64_t Smem = Config.smemBytes(Options.ElementSize);
-        unsigned Regs = Config.registersPerThread(Options.ElementSize);
+        TileSizes Sizes = Set.sizes(Triple);
+        int64_t Threads = Sizes.threadsPerBlock();
+        int64_t Smem = Sizes.smemBytes(Options.ElementSize);
+        unsigned Regs = Sizes.registersPerThread(Options.ElementSize);
         if (Threads > Device.MaxThreadsPerBlock ||
             Smem > static_cast<int64_t>(Device.SharedMemPerBlock) ||
             Regs > Device.MaxRegistersPerThread) {
@@ -398,10 +482,11 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
 
         // Performance constraints.
         bool PerfOk = true;
-        if (Options.EnforceFviConstraints && !passesFvi(Config))
+        if (Options.EnforceFviConstraints &&
+            ((X.FviCover | Y.FviCover | K.FviCover) & NeedFvi) != NeedFvi)
           PerfOk = false;
         if (PerfOk && Options.EnforceMinBlocks &&
-            Config.numThreadBlocks(TC) < Options.MinThreadBlocks)
+            X.Factor * Y.Factor < Options.MinThreadBlocks)
           PerfOk = false;
         if (PerfOk && Options.MinOccupancy > 0.0) {
           gpu::BlockResources Block;
@@ -414,16 +499,16 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
         }
         if (!PerfOk) {
           ++Local.PerformancePruned;
-          PerfPrunedOnly.push_back(std::move(Config));
+          PerfPrunedOnly.push_back(Triple);
           continue;
         }
-        Survivors.push_back(std::move(Config));
+        Set.Triples.push_back(Triple);
       }
     }
   }
 
 searchDone:
-  Local.Survivors = Survivors.size();
+  Local.Survivors = Set.Triples.size();
   if (Stats)
     *Stats = Local;
 
@@ -444,12 +529,23 @@ searchDone:
          {"raw_configs", std::to_string(Local.RawConfigs)}});
   }
 
-  if (Survivors.empty() && Options.RelaxWhenEmpty && !PerfPrunedOnly.empty()) {
+  if (Set.Triples.empty() && Options.RelaxWhenEmpty &&
+      !PerfPrunedOnly.empty()) {
     ++NumRelaxations;
     support::traceInstant(
         "enumerator.relaxation",
         {{"candidates", std::to_string(PerfPrunedOnly.size())}});
-    return PerfPrunedOnly;
+    Set.Triples = std::move(PerfPrunedOnly);
   }
-  return Survivors;
+  return Set;
+}
+
+std::vector<KernelConfig>
+Enumerator::enumerate(EnumerationStats *Stats) const {
+  CandidateSet Set = search(Stats);
+  std::vector<KernelConfig> Configs;
+  Configs.reserve(Set.size());
+  for (CandidateTriple Triple : Set.Triples)
+    Configs.push_back(Set.config(Triple));
+  return Configs;
 }

@@ -12,7 +12,9 @@
 /// Cartesian product of X-side, Y-side and TBk partial configurations is
 /// then pruned by hardware constraints (shared memory / registers / thread
 /// counts) and performance constraints (input-FVI coalescing, minimum
-/// thread-block count, minimum occupancy).
+/// thread-block count, minimum occupancy). A candidate of the product is an
+/// (x, y, k) index triple; pruning reads values precomputed once per
+/// partial, so the search builds no KernelConfig.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,6 +101,63 @@ struct EnumerationStats {
   }
 };
 
+/// One partial configuration of Algorithm 2: a TB list plus a register-tile
+/// list for one side (X or Y), or a TBk list (Reg empty), with what pruning
+/// and scoring read of it computed once.
+struct PartialConfig {
+  std::vector<IndexTile> TB;
+  std::vector<IndexTile> Reg;
+  /// Tile products of TB and Reg.
+  int64_t TBSize = 1;
+  int64_t RegSize = 1;
+  /// Bit (Name - 'a') of every index the partial maps.
+  uint32_t Mask = 0;
+  /// Bits of the indices whose loads the partial coalesces: every TB
+  /// member, and Reg members with a tile above 1.
+  uint32_t FviCover = 0;
+  /// Product over the side's indices of ceil(extent / tile): the X or Y
+  /// side's share of the grid size, or the TBk partial's step count.
+  int64_t Factor = 1;
+  /// Whether the lists pass KernelConfig::validate's checks on their own.
+  bool Valid = true;
+};
+
+/// One candidate of the product: indices into CandidateSet's X, Y and K
+/// partial lists.
+struct CandidateTriple {
+  uint32_t X = 0;
+  uint32_t Y = 0;
+  uint32_t K = 0;
+};
+
+/// The compact result of a search: the three partial lists and the
+/// surviving triples in enumeration order (X, then Y, then K). When
+/// relaxation fired, Triples holds the performance-pruned candidates
+/// instead. A KernelConfig is built only on request (config()).
+struct CandidateSet {
+  ir::Operand XInput = ir::Operand::A;
+  std::vector<PartialConfig> X;
+  std::vector<PartialConfig> Y;
+  std::vector<PartialConfig> K;
+  std::vector<CandidateTriple> Triples;
+
+  size_t size() const { return Triples.size(); }
+  bool empty() const { return Triples.empty(); }
+
+  TileSizes sizes(CandidateTriple T) const {
+    return {X[T.X].TBSize, Y[T.Y].TBSize, X[T.X].RegSize, Y[T.Y].RegSize,
+            K[T.K].TBSize};
+  }
+  /// \p T's tile table, equal to config(T).tileTable(TC).
+  TileTable tileTable(CandidateTriple T) const;
+  KernelConfig config(CandidateTriple T) const;
+
+  /// A one-triple set holding \p Config, which must validate against \p TC
+  /// (how the fallback rungs rank their single configuration).
+  static CandidateSet single(const ir::Contraction &TC,
+                             const KernelConfig &Config);
+};
+
 /// Enumerates pruned kernel configurations for one contraction on one
 /// device.
 class Enumerator {
@@ -106,9 +165,13 @@ public:
   Enumerator(const ir::Contraction &TC, const gpu::DeviceSpec &Device,
              EnumerationOptions Options = EnumerationOptions());
 
-  /// Produces all surviving configurations; fills \p Stats when non-null.
-  /// Never returns an empty vector for a valid contraction (relaxation
-  /// kicks in for degenerate problems when RelaxWhenEmpty is set).
+  /// Builds the partials and prunes their product; fills \p Stats when
+  /// non-null. Never returns an empty set for a valid contraction
+  /// (relaxation kicks in for degenerate problems when RelaxWhenEmpty is
+  /// set).
+  CandidateSet search(EnumerationStats *Stats = nullptr) const;
+
+  /// search(), with every surviving configuration built.
   std::vector<KernelConfig> enumerate(EnumerationStats *Stats = nullptr) const;
 
   /// The paper's naive full-search-space size (§IV): |mapping| x |tilesize|

@@ -25,6 +25,10 @@ int64_t KernelConfig::regXSize() const { return productOfTiles(RegX); }
 int64_t KernelConfig::regYSize() const { return productOfTiles(RegY); }
 int64_t KernelConfig::tbkSize() const { return productOfTiles(TBk); }
 
+TileSizes KernelConfig::sizes() const {
+  return {tbxSize(), tbySize(), regXSize(), regYSize(), tbkSize()};
+}
+
 const IndexTile *KernelConfig::findTile(char Name) const {
   for (const std::vector<IndexTile> *List : {&TBx, &TBy, &RegX, &RegY, &TBk})
     for (const IndexTile &T : *List)
@@ -55,14 +59,35 @@ int64_t KernelConfig::numSteps(const ir::Contraction &TC) const {
   return Steps;
 }
 
-int64_t KernelConfig::smemElements() const {
-  return (tbxSize() * regXSize() + tbySize() * regYSize()) * tbkSize();
+TileTable KernelConfig::tileTable(const ir::Contraction &TC) const {
+  TileTable Table;
+  Table.Tile.fill(1);
+  // One pass over the lists fills the table and takes their products.
+  auto fill = [&](const std::vector<IndexTile> &List) {
+    int64_t Product = 1;
+    for (const IndexTile &T : List) {
+      Table.Tile[static_cast<size_t>(T.Name - 'a')] = T.Tile;
+      Product *= T.Tile;
+    }
+    return Product;
+  };
+  Table.Sizes = {fill(TBx), fill(TBy), fill(RegX), fill(RegY), fill(TBk)};
+  // numThreadBlocks and numSteps, read from the table.
+  auto tileOf = [&](char Name) {
+    return Table.Tile[static_cast<size_t>(Name - 'a')];
+  };
+  for (char Name : TC.externalIndices())
+    Table.Blocks *= ceilDiv(TC.extent(Name), tileOf(Name));
+  for (char Name : TC.indices(ir::Operand::A))
+    if (TC.isInternal(Name))
+      Table.Steps *= ceilDiv(TC.extent(Name), tileOf(Name));
+  return Table;
 }
 
-unsigned KernelConfig::registersPerThread(unsigned ElementSize) const {
+unsigned TileSizes::registersPerThread(unsigned ElementSize) const {
   assert((ElementSize == 4 || ElementSize == 8) && "unsupported element size");
   unsigned RegsPerElement = ElementSize / 4;
-  int64_t Values = regXSize() * regYSize() + regXSize() + regYSize();
+  int64_t Values = RegX * RegY + RegX + RegY;
   // ~28 registers of index arithmetic / loop state in generated kernels.
   int64_t Total = Values * RegsPerElement + 28;
   return static_cast<unsigned>(std::min<int64_t>(Total, 512));

@@ -19,6 +19,7 @@
 
 #include "ir/Contraction.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,6 +35,41 @@ struct IndexTile {
   friend bool operator==(const IndexTile &X, const IndexTile &Y) {
     return X.Name == Y.Name && X.Tile == Y.Tile;
   }
+};
+
+/// The five list products of a configuration (Table II's size_TBx,
+/// size_TBy, size_REGx, size_REGy and size_TBk) and the per-block
+/// footprint they determine. The enumerator prunes on these, taken from
+/// per-partial products, without building a KernelConfig.
+struct TileSizes {
+  int64_t TBx = 1;
+  int64_t TBy = 1;
+  int64_t RegX = 1;
+  int64_t RegY = 1;
+  int64_t TBk = 1;
+
+  int64_t threadsPerBlock() const { return TBx * TBy; }
+
+  /// Shared-memory elements staged per step:
+  /// TBx*REGx*TBk (for the X input) + TBy*REGy*TBk (for the Y input).
+  int64_t smemElements() const { return (TBx * RegX + TBy * RegY) * TBk; }
+  int64_t smemBytes(unsigned ElementSize) const {
+    return smemElements() * ElementSize;
+  }
+
+  /// Estimated 32-bit registers per thread: the C accumulator tile, the two
+  /// staging vectors, and a fixed addressing-arithmetic overhead.
+  unsigned registersPerThread(unsigned ElementSize) const;
+};
+
+/// Everything Algorithm 3 reads of one configuration for one contraction:
+/// the tile of each index name (slot Name - 'a'; 1 where unmapped), the
+/// five list products, the grid size and the sequential step count.
+struct TileTable {
+  std::array<int64_t, 26> Tile;
+  TileSizes Sizes;
+  int64_t Blocks = 1;
+  int64_t Steps = 1;
 };
 
 /// A complete mapping + tile-size choice for one contraction (Table II).
@@ -67,6 +103,7 @@ struct KernelConfig {
   int64_t regXSize() const;
   int64_t regYSize() const;
   int64_t tbkSize() const;
+  TileSizes sizes() const;
   int64_t threadsPerBlock() const { return tbxSize() * tbySize(); }
 
   /// Tile assigned to index \p Name across all five lists (1 if unmapped).
@@ -81,16 +118,20 @@ struct KernelConfig {
   /// Sequential steps: product over internal indices of ceil(N_i / T_i).
   int64_t numSteps(const ir::Contraction &TC) const;
 
-  /// Shared-memory elements staged per step:
-  /// TBx*REGx*TBk (for the X input) + TBy*REGy*TBk (for the Y input).
-  int64_t smemElements() const;
+  /// TileSizes::smemElements of this config's lists.
+  int64_t smemElements() const { return sizes().smemElements(); }
   int64_t smemBytes(unsigned ElementSize) const {
     return smemElements() * ElementSize;
   }
 
-  /// Estimated 32-bit registers per thread: the C accumulator tile, the two
-  /// staging vectors, and a fixed addressing-arithmetic overhead.
-  unsigned registersPerThread(unsigned ElementSize) const;
+  /// TileSizes::registersPerThread of this config's lists.
+  unsigned registersPerThread(unsigned ElementSize) const {
+    return sizes().registersPerThread(ElementSize);
+  }
+
+  /// This config's tile table for \p TC: Blocks and Steps equal
+  /// numThreadBlocks and numSteps. \pre validate(TC) returned "".
+  TileTable tileTable(const ir::Contraction &TC) const;
 
   /// Returns a copy with every tile clamped to the extents of \p TC. The
   /// emitted CUDA handles problem sizes smaller than the representative one

@@ -163,6 +163,30 @@ TEST(CliExitCodes, BatchUsageErrorsExitTwo) {
   std::remove(Path.c_str());
 }
 
+TEST(CliExitCodes, BatchRejectsSingleRequestOutputFlags) {
+  // These outputs describe one generate() call; batch mode used to accept
+  // them, exit 0 and write nothing.
+  std::string Path = writeBatchFile("outputs", "ab-ac-cb 16\n");
+  std::string Trace = ::testing::TempDir() + "cogent_cli_batch_trace.json";
+  std::string Metrics =
+      ::testing::TempDir() + "cogent_cli_batch_metrics.json";
+  std::remove(Trace.c_str());
+  std::remove(Metrics.c_str());
+  for (const std::string &Flag :
+       {"--trace=" + Trace, "--metrics=" + Metrics, std::string("--explain"),
+        std::string("--explain-lint"), std::string("--explain-races"),
+        std::string("--explain-dataflow")}) {
+    CliRun Run = runCli("--batch-file " + Path + " " + Flag);
+    EXPECT_EQ(Run.ExitCode, 2) << Flag << "\n" << Run.Output;
+    EXPECT_NE(Run.Output.find("not supported with --batch-file"),
+              std::string::npos)
+        << Flag << "\n" << Run.Output;
+  }
+  EXPECT_FALSE(std::ifstream(Trace).good());
+  EXPECT_FALSE(std::ifstream(Metrics).good());
+  std::remove(Path.c_str());
+}
+
 TEST(CliExitCodes, BatchRequestDeadlineStillCompletesBatch) {
   // A microscopic per-request deadline forces the degraded rungs, never
   // a hang or an unexplained failure: the batch still exits 0.

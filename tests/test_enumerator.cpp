@@ -6,11 +6,13 @@
 
 #include "core/Enumerator.h"
 #include "core/KernelPlan.h"
+#include "gpu/Occupancy.h"
 #include "suite/TccgSuite.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 using namespace cogent;
 using core::EnumerationOptions;
@@ -200,5 +202,171 @@ TEST_P(EnumerateSuite, EveryEntryEnumerable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tccg, EnumerateSuite, ::testing::Range(1, 49));
+
+/// The materialising search the enumerator ran before candidates became
+/// triples: a KernelConfig for every examined member of the product of
+/// \p Partials' lists (X, then Y, then K), pruned with the config's own
+/// accessors. Honors MaxConfigs (not DeadlineMs) and relaxation.
+std::vector<KernelConfig> materialisingSearch(const Contraction &TC,
+                                              const gpu::DeviceSpec &Device,
+                                              EnumerationOptions Options,
+                                              const core::CandidateSet &Partials,
+                                              EnumerationStats &Stats) {
+  if (Options.MinThreadBlocks == 0)
+    Options.MinThreadBlocks = 2 * static_cast<int64_t>(Device.NumSMs);
+  Stats = EnumerationStats();
+  Stats.RawConfigs = static_cast<uint64_t>(Partials.X.size()) *
+                     Partials.Y.size() * Partials.K.size();
+  Operand XInput = Partials.XInput;
+  Operand YInput = XInput == Operand::A ? Operand::B : Operand::A;
+  auto listContains = [](const std::vector<core::IndexTile> &List, char Name) {
+    for (const core::IndexTile &T : List)
+      if (T.Name == Name)
+        return true;
+    return false;
+  };
+  auto passesFvi = [&](const KernelConfig &Config) {
+    auto covers = [&](char Fvi, const std::vector<core::IndexTile> &TBList) {
+      if (TC.extent(Fvi) == 1)
+        return true;
+      if (TC.isInternal(Fvi))
+        return listContains(Config.TBk, Fvi);
+      return listContains(TBList, Fvi) || Config.tileOf(Fvi) > 1;
+    };
+    return covers(TC.fvi(XInput), Config.TBx) &&
+           covers(TC.fvi(YInput), Config.TBy);
+  };
+  std::vector<KernelConfig> Survivors, PerfPruned;
+  for (const core::PartialConfig &X : Partials.X)
+    for (const core::PartialConfig &Y : Partials.Y)
+      for (const core::PartialConfig &K : Partials.K) {
+        if (Options.MaxConfigs != 0 && Stats.Examined >= Options.MaxConfigs) {
+          Stats.Status = core::SearchStatus::ConfigCapHit;
+          goto done;
+        }
+        ++Stats.Examined;
+        KernelConfig Config;
+        Config.XInput = XInput;
+        Config.TBx = X.TB;
+        Config.RegX = X.Reg;
+        Config.TBy = Y.TB;
+        Config.RegY = Y.Reg;
+        Config.TBk = K.TB;
+        if (!Config.validate(TC).empty()) {
+          ++Stats.InvalidConfigs;
+          continue;
+        }
+        int64_t Threads = Config.threadsPerBlock();
+        int64_t Smem = Config.smemBytes(Options.ElementSize);
+        unsigned Regs = Config.registersPerThread(Options.ElementSize);
+        if (Threads > Device.MaxThreadsPerBlock ||
+            Smem > static_cast<int64_t>(Device.SharedMemPerBlock) ||
+            Regs > Device.MaxRegistersPerThread) {
+          ++Stats.HardwarePruned;
+          continue;
+        }
+        bool PerfOk = !Options.EnforceFviConstraints || passesFvi(Config);
+        if (PerfOk && Options.EnforceMinBlocks &&
+            Config.numThreadBlocks(TC) < Options.MinThreadBlocks)
+          PerfOk = false;
+        if (PerfOk && Options.MinOccupancy > 0.0) {
+          gpu::BlockResources Block;
+          Block.ThreadsPerBlock = static_cast<unsigned>(Threads);
+          Block.SharedMemBytes = static_cast<unsigned>(Smem);
+          Block.RegistersPerThread = Regs;
+          PerfOk = gpu::computeOccupancy(Device, Block).Occupancy >=
+                   Options.MinOccupancy;
+        }
+        if (!PerfOk) {
+          ++Stats.PerformancePruned;
+          PerfPruned.push_back(std::move(Config));
+          continue;
+        }
+        Survivors.push_back(std::move(Config));
+      }
+done:
+  Stats.Survivors = Survivors.size();
+  if (Survivors.empty() && Options.RelaxWhenEmpty)
+    return PerfPruned;
+  return Survivors;
+}
+
+void expectSameStats(const EnumerationStats &Got, const EnumerationStats &Want,
+                     const std::string &Where) {
+  EXPECT_EQ(Got.RawConfigs, Want.RawConfigs) << Where;
+  EXPECT_EQ(Got.InvalidConfigs, Want.InvalidConfigs) << Where;
+  EXPECT_EQ(Got.HardwarePruned, Want.HardwarePruned) << Where;
+  EXPECT_EQ(Got.PerformancePruned, Want.PerformancePruned) << Where;
+  EXPECT_EQ(Got.Survivors, Want.Survivors) << Where;
+  EXPECT_EQ(Got.Examined, Want.Examined) << Where;
+  EXPECT_EQ(Got.Status, Want.Status) << Where;
+}
+
+// The compact search keeps the same candidates, in the same order, with the
+// same stats as materialising every examined config: TCCG-48 x {P100,
+// V100} x {fp64, fp32} under the default, loose, unreachable-min-blocks
+// (relaxation) and config-capped options. Each survivor's tile table
+// equals its built config's.
+TEST(SearchOracle, CompactSearchEqualsMaterialisingSearch) {
+  std::vector<std::pair<std::string, EnumerationOptions>> Variants;
+  Variants.push_back({"default", {}});
+  EnumerationOptions Loose;
+  Loose.EnforceFviConstraints = false;
+  Loose.EnforceMinBlocks = false;
+  Loose.MinOccupancy = 0.0;
+  Variants.push_back({"loose", Loose});
+  EnumerationOptions Relax;
+  Relax.MinThreadBlocks = int64_t(1) << 60;
+  Variants.push_back({"relax", Relax});
+  for (uint64_t Cap : {1u, 3u, 100u}) {
+    EnumerationOptions Capped;
+    Capped.MaxConfigs = Cap;
+    Variants.push_back({"cap" + std::to_string(Cap), Capped});
+  }
+  size_t Cases = 0, Relaxed = 0;
+  for (const gpu::DeviceSpec &Device : {gpu::makeP100(), gpu::makeV100()})
+    for (unsigned ElementSize : {8u, 4u})
+      for (const auto &[Name, Base] : Variants)
+        for (const suite::SuiteEntry &Entry : suite::tccgSuite()) {
+          std::string Where = Entry.Name + " on " + Device.Name + " fp" +
+                              std::to_string(ElementSize * 8) + " " + Name;
+          Contraction TC = Entry.contraction();
+          EnumerationOptions Options = Base;
+          Options.ElementSize = ElementSize;
+          EnumerationStats Got;
+          core::CandidateSet Set =
+              Enumerator(TC, Device, Options).search(&Got);
+          EnumerationStats Want;
+          std::vector<KernelConfig> Reference =
+              materialisingSearch(TC, Device, Options, Set, Want);
+          expectSameStats(Got, Want, Where);
+          ASSERT_EQ(Set.size(), Reference.size()) << Where;
+          for (size_t I = 0; I < Set.size(); ++I) {
+            KernelConfig Built = Set.config(Set.Triples[I]);
+            ASSERT_EQ(Built.toString(), Reference[I].toString())
+                << Where << " #" << I;
+            core::TileTable FromTriple = Set.tileTable(Set.Triples[I]);
+            core::TileTable FromConfig = Built.tileTable(TC);
+            EXPECT_EQ(FromTriple.Tile, FromConfig.Tile) << Where << " #" << I;
+            EXPECT_EQ(FromTriple.Blocks, FromConfig.Blocks) << Where;
+            EXPECT_EQ(FromTriple.Steps, FromConfig.Steps) << Where;
+          }
+          Relaxed += Got.Survivors == 0 && !Set.empty();
+          ++Cases;
+        }
+  EXPECT_EQ(Cases, 48u * 2 * 2 * 6);
+  EXPECT_GT(Relaxed, 0u) << "no case exercised relaxation";
+}
+
+// enumerate() is search() with every triple built.
+TEST(SearchOracle, EnumerateBuildsEveryTriple) {
+  Contraction TC = eq1();
+  Enumerator Enum(TC, gpu::makeV100());
+  core::CandidateSet Set = Enum.search();
+  std::vector<KernelConfig> Configs = Enum.enumerate();
+  ASSERT_EQ(Configs.size(), Set.size());
+  for (size_t I = 0; I < Configs.size(); ++I)
+    EXPECT_EQ(Configs[I].toString(), Set.config(Set.Triples[I]).toString());
+}
 
 } // namespace

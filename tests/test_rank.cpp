@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Pins the ranking layer of Cogent::generate (core::rankCandidates): it
-/// scores every candidate from its KernelConfig and builds and verifies a
-/// KernelPlan only for the head, in rank order, until TopK pass. The
+/// scores every candidate triple from its tile table and builds a config
+/// and a verified KernelPlan only for the head, in rank order, until TopK
+/// pass. The
 /// oracle here ranks every enumerated candidate the eager way — a
 /// KernelPlan and verifyPlan for each, Algorithm 3 written over the plan's
 /// accessors, occupancy of the plan's block, stable_sort with the
