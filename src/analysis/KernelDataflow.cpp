@@ -9,7 +9,6 @@
 #include "support/Counters.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -105,7 +104,7 @@ struct CfgBuilder {
 
   void emitDef(unsigned Loc, unsigned Line, AccessKind Kind) {
     unsigned Id = static_cast<unsigned>(Info.Defs.size());
-    Info.Defs.push_back({Loc, Line, Kind, false, {}});
+    Info.Defs.push_back({Loc, Line, Kind, false});
     Info.Blocks[Cur].Events.push_back({Loc, Kind, Line, Id});
   }
 
@@ -267,68 +266,76 @@ struct CfgBuilder {
 };
 
 //===----------------------------------------------------------------------===//
-// Liveness (backward, location-granular)
+// Location sets and the two solvers
 //===----------------------------------------------------------------------===//
 
-void solveLiveness(DataflowInfo &Info) {
-  size_t NB = Info.Blocks.size(), NL = Info.Locations.size();
-  std::vector<std::vector<bool>> UpUse(NB), StrongDef(NB);
-  std::vector<bool> ExitLive(NL, false);
-  for (unsigned L = 0; L < NL; ++L)
-    ExitLive[L] = Info.Locations[L].Space == LocSpace::GlobalArray;
+/// A set of location indices, 64 to a word: the lattice value of both
+/// solvers.
+struct LocSet {
+  std::vector<uint64_t> W;
+  explicit LocSet(size_t N = 0) : W((N + 63) / 64, 0) {}
+  void set(unsigned I) { W[I / 64] |= uint64_t(1) << (I % 64); }
+  void reset(unsigned I) { W[I / 64] &= ~(uint64_t(1) << (I % 64)); }
+  bool test(unsigned I) const { return (W[I / 64] >> (I % 64)) & 1; }
+  void unite(const LocSet &O) {
+    for (size_t I = 0; I < W.size(); ++I)
+      W[I] |= O.W[I];
+  }
+};
 
-  for (unsigned B = 0; B < NB; ++B) {
-    UpUse[B].assign(NL, false);
-    StrongDef[B].assign(NL, false);
+/// Backward may-liveness: the locations live out of each block.
+std::vector<LocSet> solveLiveness(const DataflowInfo &Info,
+                                  const LocSet &ExitLive) {
+  size_t NB = Info.Blocks.size(), NL = Info.Locations.size();
+  std::vector<LocSet> UpUse(NB, LocSet(NL)), StrongDef(NB, LocSet(NL));
+  for (unsigned B = 0; B < NB; ++B)
     for (const Access &E : Info.Blocks[B].Events) {
       if (E.Kind == AccessKind::Use) {
-        if (!StrongDef[B][E.Loc])
-          UpUse[B][E.Loc] = true;
+        if (!StrongDef[B].test(E.Loc))
+          UpUse[B].set(E.Loc);
       } else if (E.Kind == AccessKind::Def) {
-        StrongDef[B][E.Loc] = true;
+        StrongDef[B].set(E.Loc);
       } // MayDef neither uses nor kills.
     }
-  }
 
-  Info.LiveIn.assign(NB, std::vector<bool>(NL, false));
-  Info.LiveOut.assign(NB, std::vector<bool>(NL, false));
+  std::vector<LocSet> LiveIn(NB, LocSet(NL)), LiveOut(NB, LocSet(NL));
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (unsigned B = NB; B-- > 0;) {
-      std::vector<bool> Out(NL, false);
-      if (Info.Blocks[B].Succs.empty()) {
+      LocSet Out(NL);
+      if (Info.Blocks[B].Succs.empty())
         Out = ExitLive;
-      } else {
-        for (unsigned S : Info.Blocks[B].Succs)
-          for (unsigned L = 0; L < NL; ++L)
-            if (Info.LiveIn[S][L])
-              Out[L] = true;
-      }
-      std::vector<bool> In(NL);
-      for (unsigned L = 0; L < NL; ++L)
-        In[L] = UpUse[B][L] || (Out[L] && !StrongDef[B][L]);
-      if (Out != Info.LiveOut[B] || In != Info.LiveIn[B]) {
-        Info.LiveOut[B] = std::move(Out);
-        Info.LiveIn[B] = std::move(In);
+      for (unsigned S : Info.Blocks[B].Succs)
+        Out.unite(LiveIn[S]);
+      LocSet In(NL);
+      for (size_t I = 0; I < In.W.size(); ++I)
+        In.W[I] = UpUse[B].W[I] | (Out.W[I] & ~StrongDef[B].W[I]);
+      if (Out.W != LiveOut[B].W || In.W != LiveIn[B].W) {
+        LiveOut[B] = std::move(Out);
+        LiveIn[B] = std::move(In);
         Changed = true;
       }
     }
   }
+  return LiveOut;
 }
 
 /// Backward in-block walk over the liveness fixpoint: marks dead
-/// definitions and records the peak simultaneous live scalar width.
+/// definitions, counts the uses of each location and records the peak
+/// simultaneous live scalar width.
 void walkLiveness(DataflowInfo &Info) {
   size_t NL = Info.Locations.size();
-  std::vector<bool> ExitLive(NL, false);
-  std::vector<unsigned> TotalUses(NL, 0);
+  LocSet ExitLive(NL);
   for (unsigned L = 0; L < NL; ++L)
-    ExitLive[L] = Info.Locations[L].Space == LocSpace::GlobalArray;
+    if (Info.Locations[L].Space == LocSpace::GlobalArray)
+      ExitLive.set(L);
+  Info.UseCounts.assign(NL, 0);
   for (const BasicBlock &B : Info.Blocks)
     for (const Access &E : B.Events)
       if (E.Kind == AccessKind::Use)
-        ++TotalUses[E.Loc];
+        ++Info.UseCounts[E.Loc];
+  std::vector<LocSet> LiveOut = solveLiveness(Info, ExitLive);
 
   auto countsForPressure = [&](unsigned L) {
     return Info.Locations[L].Space == LocSpace::Scalar &&
@@ -337,31 +344,31 @@ void walkLiveness(DataflowInfo &Info) {
 
   unsigned MaxRegs = 0;
   for (unsigned B = 0; B < Info.Blocks.size(); ++B) {
-    std::vector<bool> Live = Info.LiveOut[B];
+    LocSet &Live = LiveOut[B];
     unsigned Regs = 0;
     for (unsigned L = 0; L < NL; ++L)
-      if (Live[L] && countsForPressure(L))
+      if (Live.test(L) && countsForPressure(L))
         Regs += Info.Locations[L].Width;
     MaxRegs = std::max(MaxRegs, Regs);
     for (size_t I = Info.Blocks[B].Events.size(); I-- > 0;) {
       const Access &E = Info.Blocks[B].Events[I];
       if (E.Kind == AccessKind::Use) {
-        if (!Live[E.Loc]) {
-          Live[E.Loc] = true;
+        if (!Live.test(E.Loc)) {
+          Live.set(E.Loc);
           if (countsForPressure(E.Loc))
             Regs += Info.Locations[E.Loc].Width;
         }
       } else if (E.Kind == AccessKind::Def) {
         if (!Info.Locations[E.Loc].Implicit)
-          Info.Defs[E.DefId].Dead = !Live[E.Loc] && !ExitLive[E.Loc];
-        if (Live[E.Loc]) {
-          Live[E.Loc] = false;
+          Info.Defs[E.DefId].Dead = !Live.test(E.Loc) && !ExitLive.test(E.Loc);
+        if (Live.test(E.Loc)) {
+          Live.reset(E.Loc);
           if (countsForPressure(E.Loc))
             Regs -= Info.Locations[E.Loc].Width;
         }
       } else { // MayDef: dead only when the whole array is never read.
         Info.Defs[E.DefId].Dead =
-            TotalUses[E.Loc] == 0 && !ExitLive[E.Loc];
+            Info.UseCounts[E.Loc] == 0 && !ExitLive.test(E.Loc);
       }
       MaxRegs = std::max(MaxRegs, Regs);
     }
@@ -375,88 +382,44 @@ void walkLiveness(DataflowInfo &Info) {
   Info.RegisterArrayRegs = ArrayRegs;
 }
 
-//===----------------------------------------------------------------------===//
-// Reaching definitions (forward, definition-granular)
-//===----------------------------------------------------------------------===//
+/// Forward "may be defined" over locations: a use of L is undefined iff
+/// no path from entry to it holds a Def/MayDef of L, which is exactly
+/// "no definition reaches it".
+void findUndefinedUses(DataflowInfo &Info) {
+  size_t NB = Info.Blocks.size(), NL = Info.Locations.size();
+  std::vector<LocSet> Gen(NB, LocSet(NL));
+  for (unsigned B = 0; B < NB; ++B)
+    for (const Access &E : Info.Blocks[B].Events)
+      if (E.Kind != AccessKind::Use)
+        Gen[B].set(E.Loc);
 
-struct DefBits {
-  std::vector<uint64_t> W;
-  explicit DefBits(size_t N = 0) : W((N + 63) / 64, 0) {}
-  void set(unsigned I) { W[I / 64] |= uint64_t(1) << (I % 64); }
-  void clear(unsigned I) { W[I / 64] &= ~(uint64_t(1) << (I % 64)); }
-  bool test(unsigned I) const {
-    return (W[I / 64] >> (I % 64)) & 1;
-  }
-  bool orWith(const DefBits &O) {
-    bool Changed = false;
-    for (size_t I = 0; I < W.size(); ++I) {
-      uint64_t Next = W[I] | O.W[I];
-      Changed |= Next != W[I];
-      W[I] = Next;
-    }
-    return Changed;
-  }
-};
-
-void solveReachingDefs(DataflowInfo &Info) {
-  size_t NB = Info.Blocks.size(), ND = Info.Defs.size();
-  std::vector<std::vector<unsigned>> DefsOfLoc(Info.Locations.size());
-  for (unsigned D = 0; D < ND; ++D)
-    DefsOfLoc[Info.Defs[D].Loc].push_back(D);
-
-  // Per-block transfer: apply events forward to a bitset.
-  auto transfer = [&](unsigned B, DefBits &R,
-                      const std::function<void(const Access &,
-                                               const DefBits &)> &AtUse) {
-    for (const Access &E : Info.Blocks[B].Events) {
-      if (E.Kind == AccessKind::Use) {
-        if (AtUse)
-          AtUse(E, R);
-        continue;
-      }
-      if (E.Kind == AccessKind::Def)
-        for (unsigned D : DefsOfLoc[E.Loc])
-          R.clear(D);
-      R.set(E.DefId);
-    }
-  };
-
-  std::vector<DefBits> In(NB, DefBits(ND)), Out(NB, DefBits(ND));
+  std::vector<LocSet> In(NB, LocSet(NL)), Out = Gen;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (unsigned B = 0; B < NB; ++B) {
-      DefBits NewIn(ND);
+      LocSet NewIn(NL);
       for (unsigned P : Info.Blocks[B].Preds)
-        NewIn.orWith(Out[P]);
-      DefBits NewOut = NewIn;
-      transfer(B, NewOut, nullptr);
-      bool InChanged = NewIn.W != In[B].W;
-      bool OutChanged = NewOut.W != Out[B].W;
-      if (InChanged || OutChanged) {
+        NewIn.unite(Out[P]);
+      if (NewIn.W != In[B].W) {
         In[B] = std::move(NewIn);
-        Out[B] = std::move(NewOut);
+        Out[B] = In[B];
+        Out[B].unite(Gen[B]);
         Changed = true;
       }
     }
   }
 
-  // Final walk: attach uses to the definitions that reach them.
-  std::set<std::pair<unsigned, unsigned>> SeenUndef, SeenChain;
+  std::set<std::pair<unsigned, unsigned>> Seen;
   for (unsigned B = 0; B < NB; ++B) {
-    DefBits R = In[B];
-    transfer(B, R, [&](const Access &E, const DefBits &Reach) {
-      bool Any = false;
-      for (unsigned D : DefsOfLoc[E.Loc])
-        if (Reach.test(D)) {
-          Any = true;
-          if (SeenChain.insert({D, E.Line}).second)
-            Info.Defs[D].UseLines.push_back(E.Line);
-        }
-      if (!Any && !Info.Locations[E.Loc].Implicit &&
-          SeenUndef.insert({E.Loc, E.Line}).second)
+    LocSet Defined = In[B];
+    for (const Access &E : Info.Blocks[B].Events) {
+      if (E.Kind != AccessKind::Use)
+        Defined.set(E.Loc);
+      else if (!Defined.test(E.Loc) && !Info.Locations[E.Loc].Implicit &&
+               Seen.insert({E.Loc, E.Line}).second)
         Info.UndefinedUses.push_back({E.Loc, E.Line});
-    });
+    }
   }
 }
 
@@ -490,34 +453,12 @@ void computeSmemLifetimes(DataflowInfo &Info) {
 // Public API
 //===----------------------------------------------------------------------===//
 
-const char *cogent::analysis::locSpaceName(LocSpace Space) {
-  switch (Space) {
-  case LocSpace::Scalar:
-    return "scalar";
-  case LocSpace::RegisterArray:
-    return "register-array";
-  case LocSpace::SharedArray:
-    return "shared-array";
-  case LocSpace::GlobalArray:
-    return "global-array";
-  }
-  return "unknown";
-}
-
 std::optional<unsigned>
 DataflowInfo::location(const std::string &Name) const {
   for (unsigned I = 0; I < Locations.size(); ++I)
     if (Locations[I].Name == Name)
       return I;
   return std::nullopt;
-}
-
-unsigned DataflowInfo::useCount(unsigned Loc) const {
-  unsigned N = 0;
-  for (const BasicBlock &B : Blocks)
-    for (const Access &E : B.Events)
-      N += E.Kind == AccessKind::Use && E.Loc == Loc;
-  return N;
 }
 
 ErrorOr<DataflowInfo>
@@ -528,9 +469,8 @@ cogent::analysis::buildDataflow(const KernelModel &M) {
   Builder.seedEntry();
   Builder.walk(M.Body);
 
-  solveLiveness(Info);
   walkLiveness(Info);
-  solveReachingDefs(Info);
+  findUndefinedUses(Info);
 
   computeSmemLifetimes(Info);
 

@@ -8,8 +8,8 @@
 /// KernelDataflow: a classic dataflow framework over the KernelModel
 /// statement tree of one emitted kernel. Where KernelLint's original
 /// passes check *shape* (strides, guards, declarations), this layer
-/// recovers *flow*: which values are live where and which definitions
-/// reach which uses. Which barrier orders anything is an address question
+/// recovers *flow*: which values are live where and which uses no
+/// definition reaches. Which barrier orders anything is an address question
 /// and belongs to KernelRaceProver, which also reuses this location table.
 ///
 /// CFG shape. Basic blocks are built by a single walk of the statement
@@ -26,12 +26,13 @@
 /// spaces: per-thread scalars (strong, killing definitions), register
 /// arrays and shared arrays (array-granular MayDef — a store never kills,
 /// because other elements survive), and global arrays (MayDef and
-/// exit-live, so output stores are never dead). The two solvers are
-/// standard bitvector fixpoints:
-///   - backward may-liveness over locations (drives dead-store detection
-///     and the register-pressure walk),
-///   - forward reaching definitions over definition sites (drives the
-///     def-use chains and use-without-definition detection).
+/// exit-live, so output stores are never dead). Both solvers are
+/// bitvector fixpoints over locations, sharing one 64-bit word set:
+///   - backward may-liveness (drives dead-store detection, the per-location
+///     use counts and the register-pressure walk),
+///   - forward "may be defined" (a use of a location is undefined iff no
+///     path from entry to it defines that location — exactly "no
+///     definition reaches it").
 /// #defines, extent parameters, kernel pointer parameters and the thread
 /// builtins of both dialects are implicit entry definitions.
 ///
@@ -65,8 +66,6 @@ enum class LocSpace {
   SharedArray,   ///< __shared__/__local staging; array-granular MayDef.
   GlobalArray,   ///< g_A / g_B / g_C; MayDef and live at kernel exit.
 };
-
-const char *locSpaceName(LocSpace Space);
 
 /// One named storage location.
 struct Location {
@@ -111,7 +110,7 @@ struct BasicBlock {
   unsigned BarrierLine = 0;
 };
 
-/// One definition site with its def-use chain.
+/// One definition site.
 struct DefInfo {
   unsigned Loc = 0;
   unsigned Line = 0;
@@ -119,8 +118,6 @@ struct DefInfo {
   /// True when no reachable use observes this definition and the
   /// location is not exit-live: the store is dead.
   bool Dead = false;
-  /// Source lines of uses this definition reaches, in discovery order.
-  std::vector<unsigned> UseLines;
 };
 
 /// A read of a location no definition reaches (and that is not an
@@ -144,9 +141,8 @@ struct DataflowInfo {
   std::vector<DefInfo> Defs;
   std::vector<UndefinedUse> UndefinedUses;
   std::vector<SmemBufferLifetime> SmemLifetimes;
-
-  /// Per-block liveness fixpoint, one bit per location.
-  std::vector<std::vector<bool>> LiveIn, LiveOut;
+  /// Number of use events per location (0: the location is never read).
+  std::vector<unsigned> UseCounts;
 
   /// Peak simultaneous live scalar width (32-bit registers) across all
   /// program points; implicit locations are excluded.
@@ -160,9 +156,6 @@ struct DataflowInfo {
 
   /// Location index for \p Name, if known.
   std::optional<unsigned> location(const std::string &Name) const;
-  /// Total number of uses of location \p Loc across every def-use chain
-  /// and undefined use.
-  unsigned useCount(unsigned Loc) const;
 };
 
 /// Builds the CFG over \p M and runs both solvers plus the derived
@@ -183,7 +176,8 @@ ErrorOr<DataflowInfo> buildDataflow(const KernelModel &M);
 inline constexpr unsigned PressureToleranceRegs = 64;
 
 /// Human-oriented dump for cogent_cli --explain-dataflow: the CFG, the
-/// per-buffer lifetimes, the def-use summary and the pressure table.
+/// per-buffer lifetimes, the pressure table, the dead definitions and the
+/// undefined uses.
 std::string explainDataflow(const KernelModel &M, const DataflowInfo &Info);
 
 } // namespace analysis

@@ -71,6 +71,7 @@ struct LintContext {
   const KernelModel &M;
   const LintOptions &Opts;
   std::vector<LintFinding> &Findings;
+  DefCensus Defs;
   /// buildAmbient's folded constants (defines, extents, stride variables,
   /// nt_/ns_ factors).
   Env Ambient;
@@ -423,96 +424,9 @@ void passCoalescing(LintContext &C) {
 // BoundsCheck pass
 //===----------------------------------------------------------------------===//
 
-struct Interval {
-  int64_t Lo = 0, Hi = 0;
-};
-
-/// Interval evaluation over non-negative coordinate ranges; nullopt when a
-/// variable has no known range and the ambient env cannot resolve it.
-std::optional<Interval> intervalOf(const Expr &E, const Env &Ambient,
-                                   const std::map<std::string, Interval>
-                                       &Ranges) {
-  if (std::optional<int64_t> V = evalExpr(E, Ambient))
-    return Interval{*V, *V};
-  switch (E.Kind) {
-  case ExprKind::Var: {
-    auto It = Ranges.find(E.Name);
-    if (It == Ranges.end())
-      return std::nullopt;
-    return It->second;
-  }
-  case ExprKind::Add: {
-    auto L = intervalOf(E.Kids[0], Ambient, Ranges);
-    auto R = intervalOf(E.Kids[1], Ambient, Ranges);
-    if (!L || !R)
-      return std::nullopt;
-    return Interval{L->Lo + R->Lo, L->Hi + R->Hi};
-  }
-  case ExprKind::Sub: {
-    auto L = intervalOf(E.Kids[0], Ambient, Ranges);
-    auto R = intervalOf(E.Kids[1], Ambient, Ranges);
-    if (!L || !R)
-      return std::nullopt;
-    return Interval{L->Lo - R->Hi, L->Hi - R->Lo};
-  }
-  case ExprKind::Mul: {
-    auto L = intervalOf(E.Kids[0], Ambient, Ranges);
-    auto R = intervalOf(E.Kids[1], Ambient, Ranges);
-    if (!L || !R)
-      return std::nullopt;
-    int64_t A = L->Lo * R->Lo, B = L->Lo * R->Hi;
-    int64_t D = L->Hi * R->Lo, F = L->Hi * R->Hi;
-    return Interval{std::min(std::min(A, B), std::min(D, F)),
-                    std::max(std::max(A, B), std::max(D, F))};
-  }
-  case ExprKind::Mod: {
-    std::optional<int64_t> R = evalExpr(E.Kids[1], Ambient);
-    if (!R || *R <= 0)
-      return std::nullopt;
-    return Interval{0, *R - 1};
-  }
-  default:
-    return std::nullopt;
-  }
-}
-
-/// Builds coordinate ranges from the parsed decodes and loop bounds.
-std::map<std::string, Interval> buildRanges(const LintContext &C) {
-  std::map<std::string, Interval> Ranges;
-  auto define = [&](const std::string &Name, int64_t HiExclusive) {
-    if (HiExclusive > 0)
-      Ranges[Name] = {0, HiExclusive - 1};
-  };
-  auto fromDefines = [&](const char *Name) -> int64_t {
-    auto It = C.M.Defines.find(Name);
-    return It == C.M.Defines.end() ? 0 : It->second;
-  };
-  define("threadIdx.x", fromDefines("TBX"));
-  define("threadIdx.y", fromDefines("TBY"));
-  define("get_local_id(0)", fromDefines("TBX"));
-  define("get_local_id(1)", fromDefines("TBY"));
-  define("tid", fromDefines("NTHREADS"));
-  Ranges["buf"] = {0, 1};
-
-  forEachStmt(C.M.Body, [&](const Stmt &S) {
-    // Decode statements: `x = <scratch> % K` gives x the range [0, K-1].
-    if (S.Kind == StmtKind::Decl && S.Value.Kind == ExprKind::Mod) {
-      if (std::optional<int64_t> K = evalExpr(S.Value.Kids[1], C.Ambient))
-        define(S.Name, *K);
-    }
-    // Loop variables: [init.Lo, bound-1] — for the emitted schema every
-    // loop starts at 0 or tid, both >= 0.
-    if (S.Kind == StmtKind::Loop && !S.LoopVar.empty()) {
-      if (std::optional<int64_t> Bound = evalExpr(S.LoopBound, C.Ambient))
-        define(S.LoopVar, *Bound);
-    }
-  });
-  return Ranges;
-}
-
 void passBoundsCheck(LintContext &C) {
   const ir::Contraction &TC = C.Plan.contraction();
-  std::map<std::string, Interval> Ranges = buildRanges(C);
+  RangeAnalysis Ranges(C.M, C.Ambient, C.Defs);
 
   // 1. Decode moduli must equal the plan's tiles.
   forEachStmt(C.M.Body, [&](const Stmt &S) {
@@ -549,7 +463,7 @@ void passBoundsCheck(LintContext &C) {
     if (!Decl)
       return; // ResourceDecl reports the missing declaration.
     std::optional<int64_t> Size = evalExpr(Decl->Value, C.Ambient);
-    std::optional<Interval> Range = intervalOf(Index, C.Ambient, Ranges);
+    std::optional<ValueRange> Range = Ranges.of(Index);
     if (!Size || !Range)
       return;
     if (Range->Hi >= *Size)
@@ -718,7 +632,7 @@ void passDeadStore(LintContext &C, const DataflowInfo &Flow) {
     const Location &Loc = Flow.Locations[D.Loc];
     if (Loc.Space == LocSpace::Scalar)
       C.report(LintPass::DeadStore, D.Line,
-               Flow.useCount(D.Loc) == 0
+               Flow.UseCounts[D.Loc] == 0
                    ? "scalar '" + Loc.Name + "' is written but never used"
                    : "store to '" + Loc.Name +
                          "' is overwritten before any use");
@@ -860,8 +774,9 @@ LintReport cogent::analysis::lintKernel(const KernelPlan &Plan,
     Report.Findings.push_back(
         {LintPass::Structure, LintSeverity::Error, Issue.Line, Issue.Message});
 
-  LintContext Ctx{Plan, *Model, Options, Report.Findings,
-                  buildAmbient(*Model, Plan.contraction())};
+  LintContext Ctx{Plan, *Model, Options, Report.Findings, censusDefs(*Model),
+                  {}};
+  Ctx.Ambient = buildAmbient(*Model, Plan.contraction(), Ctx.Defs);
   passBankConflict(Ctx);
   passCoalescing(Ctx);
   passBoundsCheck(Ctx);

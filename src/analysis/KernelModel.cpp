@@ -114,13 +114,6 @@ std::string cogent::analysis::renderExpr(const Expr &E) {
   return "?";
 }
 
-std::optional<int64_t> IndexForm::coeff(const std::string &Coord) const {
-  for (const IndexTerm &T : Terms)
-    if (T.Coord == Coord)
-      return T.Coeff;
-  return std::nullopt;
-}
-
 namespace {
 
 void addTerm(IndexForm &F, const std::string &Coord, int64_t Coeff) {
@@ -886,22 +879,36 @@ void cogent::analysis::forEachStmt(
   }
 }
 
+const Stmt *DefCensus::singleDef(const std::string &Name) const {
+  auto It = Sites.find(Name);
+  if (It == Sites.end() || It->second.size() != 1 || Updates.count(Name))
+    return nullptr;
+  return It->second.front();
+}
+
+DefCensus cogent::analysis::censusDefs(const KernelModel &M) {
+  DefCensus D;
+  forEachStmt(M.Body, [&](const Stmt &S) {
+    if (S.Kind == StmtKind::Decl || S.Kind == StmtKind::Assign)
+      D.Sites[S.Name].push_back(&S);
+    else if (isScalarStmt(S))
+      ++D.Updates[S.Name];
+    else if (S.Kind == StmtKind::Loop)
+      D.Loops[S.LoopVar].push_back(&S);
+  });
+  return D;
+}
+
 Env cogent::analysis::buildAmbient(const KernelModel &M,
-                                   const ir::Contraction &TC) {
+                                   const ir::Contraction &TC,
+                                   const DefCensus &Defs) {
   Env E;
   for (const auto &[Name, Value] : M.Defines)
     E[Name] = Value;
   for (char Name : TC.allIndices())
     E[std::string("N_") + Name] = TC.extent(Name);
-  std::unordered_map<std::string, unsigned> Sites, Updates;
   forEachStmt(M.Body, [&](const Stmt &S) {
-    if (S.Kind == StmtKind::Decl || S.Kind == StmtKind::Assign)
-      ++Sites[S.Name];
-    else if (isScalarStmt(S))
-      ++Updates[S.Name];
-  });
-  forEachStmt(M.Body, [&](const Stmt &S) {
-    if (isScalarStmt(S) && Sites[S.Name] == 1 && Updates.count(S.Name) == 0)
+    if (isScalarStmt(S) && Defs.singleDef(S.Name) == &S)
       execScalar(S, E);
   });
   return E;
@@ -915,18 +922,6 @@ void cogent::analysis::forEachIndexExpr(
     forEachIndexExpr(Kid, Fn);
 }
 
-const Stmt *KernelModel::findLoop(const std::vector<Stmt> &In,
-                                  const std::string &Var) {
-  for (const Stmt &S : In) {
-    if (S.Kind == StmtKind::Loop && S.LoopVar == Var)
-      return &S;
-    if (!S.Body.empty())
-      if (const Stmt *Found = findLoop(S.Body, Var))
-        return Found;
-  }
-  return nullptr;
-}
-
 const Stmt *KernelModel::arrayDecl(const std::string &Name) const {
   for (const Stmt &S : SharedDecls)
     if (S.Name == Name)
@@ -935,6 +930,123 @@ const Stmt *KernelModel::arrayDecl(const std::string &Name) const {
     if (S.Name == Name)
       return &S;
   return nullptr;
+}
+
+//===----------------------------------------------------------------------===//
+// Range analysis
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+ValueRange join(const ValueRange &A, const ValueRange &B) {
+  return {std::min(A.Lo, B.Lo), std::max(A.Hi, B.Hi)};
+}
+
+} // namespace
+
+std::optional<ValueRange> RangeAnalysis::of(const Expr &E) {
+  if (std::optional<int64_t> V = evalExpr(E, Ambient))
+    return ValueRange{*V, *V};
+  switch (E.Kind) {
+  case ExprKind::Var:
+    return ofName(E.Name);
+  case ExprKind::Add:
+  case ExprKind::Sub:
+  case ExprKind::Mul: {
+    std::optional<ValueRange> L = of(E.Kids[0]), R = of(E.Kids[1]);
+    if (!L || !R)
+      return std::nullopt;
+    if (E.Kind == ExprKind::Add)
+      return ValueRange{L->Lo + R->Lo, L->Hi + R->Hi};
+    if (E.Kind == ExprKind::Sub)
+      return ValueRange{L->Lo - R->Hi, L->Hi - R->Lo};
+    ValueRange P{INT64_MAX, INT64_MIN};
+    for (int64_t A : {L->Lo, L->Hi})
+      for (int64_t B : {R->Lo, R->Hi}) {
+        int64_t AB = 0;
+        if (__builtin_mul_overflow(A, B, &AB))
+          return std::nullopt;
+        P = {std::min(P.Lo, AB), std::max(P.Hi, AB)};
+      }
+    return P;
+  }
+  case ExprKind::Mod: {
+    std::optional<int64_t> K = evalExpr(E.Kids[1], Ambient);
+    if (!K || *K <= 0)
+      return std::nullopt;
+    return ValueRange{0, *K - 1};
+  }
+  case ExprKind::Div: {
+    std::optional<int64_t> K = evalExpr(E.Kids[1], Ambient);
+    if (!K || *K <= 0)
+      return std::nullopt;
+    std::optional<ValueRange> L = of(E.Kids[0]);
+    if (!L || L->Lo < 0)
+      return std::nullopt;
+    return ValueRange{L->Lo / *K, L->Hi / *K};
+  }
+  case ExprKind::Ternary: {
+    std::optional<ValueRange> A = of(E.Kids[1]);
+    std::optional<ValueRange> B = of(E.Kids[2]);
+    if (!A || !B)
+      return std::nullopt;
+    return join(*A, *B);
+  }
+  default:
+    return std::nullopt;
+  }
+}
+
+std::optional<ValueRange> RangeAnalysis::ofName(const std::string &Name) {
+  if (auto It = Ambient.find(Name); It != Ambient.end())
+    return ValueRange{It->second, It->second};
+  auto blockDim = [&](const char *Define) -> std::optional<ValueRange> {
+    auto It = Ambient.find(Define);
+    if (It == Ambient.end())
+      return std::nullopt;
+    return ValueRange{0, It->second - 1};
+  };
+  if (Name == "threadIdx.x" || Name == "get_local_id(0)")
+    return blockDim("TBX");
+  if (Name == "threadIdx.y" || Name == "get_local_id(1)")
+    return blockDim("TBY");
+  if (Name == "threadIdx.z" || Name == "get_local_id(2)")
+    return ValueRange{0, 0};
+  if (M.DoubleBuffer && Name == "buf")
+    return ValueRange{0, 1};
+  if (auto It = Memo.find(Name); It != Memo.end())
+    return It->second;
+  if (std::find(InFlight.begin(), InFlight.end(), Name) != InFlight.end())
+    return std::nullopt;
+  InFlight.push_back(Name);
+  // Join over every binding; one binding without a range voids the join.
+  std::optional<ValueRange> Result;
+  auto add = [&](std::optional<ValueRange> R) {
+    if (R)
+      Result = Result ? join(*Result, *R) : *R;
+    else
+      Result.reset();
+    return R.has_value();
+  };
+  if (auto It = Defs.Loops.find(Name); It != Defs.Loops.end()) {
+    for (const Stmt *L : It->second) {
+      std::optional<ValueRange> Init = of(L->LoopInit);
+      std::optional<ValueRange> Bound = of(L->LoopBound);
+      std::optional<ValueRange> Trips;
+      if (Init && Bound && Init->Lo < Bound->Hi)
+        Trips = ValueRange{Init->Lo, Bound->Hi - 1};
+      if (!add(Trips))
+        break;
+    }
+  } else if (auto It = Defs.Sites.find(Name);
+             It != Defs.Sites.end() && !Defs.Updates.count(Name)) {
+    for (const Stmt *D : It->second)
+      if (!add(of(D->Value)))
+        break;
+  }
+  InFlight.pop_back();
+  Memo[Name] = Result;
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//

@@ -105,9 +105,6 @@ struct IndexTerm {
 struct IndexForm {
   std::vector<IndexTerm> Terms;
   int64_t Constant = 0;
-
-  /// The coefficient of \p Coord, or std::nullopt when absent.
-  std::optional<int64_t> coeff(const std::string &Coord) const;
 };
 
 /// Flattens \p E into coefficient * coordinate terms, evaluating whatever
@@ -194,11 +191,6 @@ struct KernelModel {
   unsigned BarrierCount = 0;
   std::vector<ParseIssue> Issues;          ///< Non-fatal oddities.
 
-  /// The first top-level statement of kind Loop whose variable is \p Var,
-  /// or nullptr. Searches \p In recursively.
-  static const Stmt *findLoop(const std::vector<Stmt> &In,
-                              const std::string &Var);
-
   /// The ArrayDecl for \p Name among Shared/Register decls, or nullptr.
   const Stmt *arrayDecl(const std::string &Name) const;
 };
@@ -210,6 +202,25 @@ struct KernelModel {
 /// KernelModel::Issues for the Structure pass.
 ErrorOr<KernelModel> parseKernelSource(const std::string &KernelSource);
 
+/// Where the scalars of a model body are written, per name: the one
+/// definition census that constant folding, range analysis and the race
+/// prover's single-assignment expansion all read.
+struct DefCensus {
+  /// Decl/Assign statements, in pre-order.
+  std::unordered_map<std::string, std::vector<const Stmt *>> Sites;
+  /// Number of `*=`/`/=` updates.
+  std::unordered_map<std::string, unsigned> Updates;
+  /// Loops binding the name as their induction variable, in pre-order.
+  std::unordered_map<std::string, std::vector<const Stmt *>> Loops;
+
+  /// The Decl/Assign of \p Name when it is the only one and no update
+  /// follows; nullptr otherwise.
+  const Stmt *singleDef(const std::string &Name) const;
+};
+
+/// Takes the census of \p M's body. The result points into \p M.
+DefCensus censusDefs(const KernelModel &M);
+
 /// The constants every analysis of \p M may fold: the #defines, the
 /// N_<index> extents of \p TC, and, in program order, each scalar with
 /// exactly one Decl/Assign site and no `*=`/`/=` update. A scalar assigned
@@ -217,7 +228,38 @@ ErrorOr<KernelModel> parseKernelSource(const std::string &KernelSource);
 /// step base declared in both the prologue and the steady state, a linear
 /// cursor) takes a different value per iteration, so it stays symbolic;
 /// per-thread scalars simply fail to evaluate.
-Env buildAmbient(const KernelModel &M, const ir::Contraction &TC);
+Env buildAmbient(const KernelModel &M, const ir::Contraction &TC,
+                 const DefCensus &Defs);
+
+/// A closed integer interval [Lo, Hi].
+struct ValueRange {
+  int64_t Lo = 0, Hi = 0;
+  int64_t size() const { return Hi - Lo + 1; }
+};
+
+/// Interval analysis over the scalars of one model: the value range of an
+/// expression across every thread and iteration. What the ambient folds
+/// is a point; thread builtins range over the block shape; a loop
+/// variable joins [init.Lo, bound.Hi - 1] over every loop binding it; any
+/// other scalar joins the ranges of all its Decl/Assign right-hand sides
+/// (an in-place update voids it). std::nullopt means "unknown", never
+/// "empty". BoundsCheck and the race prover both read it.
+class RangeAnalysis {
+public:
+  RangeAnalysis(const KernelModel &M, const Env &Ambient,
+                const DefCensus &Defs)
+      : M(M), Ambient(Ambient), Defs(Defs) {}
+
+  std::optional<ValueRange> of(const Expr &E);
+  std::optional<ValueRange> ofName(const std::string &Name);
+
+private:
+  const KernelModel &M;
+  const Env &Ambient;
+  const DefCensus &Defs;
+  std::unordered_map<std::string, std::optional<ValueRange>> Memo;
+  std::vector<std::string> InFlight;
+};
 
 } // namespace analysis
 } // namespace cogent

@@ -172,6 +172,71 @@ TEST(KernelLint, MutationCorpusKillMatrix) {
     EXPECT_GE(KillsPerPass[Pass], 3u) << analysis::lintPassName(Pass);
 }
 
+bool hasFinding(const LintReport &Report, LintPass Pass,
+                const std::string &Needle) {
+  for (const LintFinding &F : Report.Findings)
+    if (F.Pass == Pass && F.Severity == analysis::LintSeverity::Error &&
+        F.Message.find(Needle) != std::string::npos)
+      return true;
+  return false;
+}
+
+TEST(KernelLint, MutantsReadingUndefinedScalarsAreDeadStoreErrors) {
+  // Both mutations leave a read that no definition reaches: WrongBaseVar
+  // reads a block base (base_e) that no statement defines, and
+  // RetargetStagingStore redirects the only store to s_B into s_A.
+  Corpus C = makeCorpus();
+  for (MutationKind Kind :
+       {MutationKind::WrongBaseVar, MutationKind::RetargetStagingStore}) {
+    LintReport Report =
+        analysis::lintKernel(C.Plan, analysis::applyMutation(C.Source, Kind));
+    EXPECT_TRUE(hasFinding(Report, LintPass::DeadStore,
+                           "is read before any definition"))
+        << analysis::mutationKindName(Kind) << ":\n" << renderAll(Report);
+  }
+}
+
+TEST(KernelLint, IndexPastTheDeclaredSizeIsABoundsError) {
+  Corpus C = makeCorpus();
+  const std::string Source = R"(#define TBX 32
+#define TBY 1
+#define NTHREADS 32
+__global__ void k(const double *g_A, double *g_C, const long long N_a) {
+  __shared__ double s_T[32];
+  int tid = threadIdx.x;
+  s_T[tid + 32] = g_A[tid];
+  __syncthreads();
+  g_C[tid] = s_T[tid];
+}
+)";
+  LintReport Report = analysis::lintKernel(C.Plan, Source);
+  EXPECT_TRUE(hasFinding(Report, LintPass::BoundsCheck,
+                         "index into s_T can reach 63 but only 32 elements "
+                         "are declared"))
+      << renderAll(Report);
+}
+
+TEST(KernelLint, WidenedDecodeModulusOverflowsTheStagingBuffer) {
+  // Suite entry 14 decodes i_e in both staging loops. Widening the A
+  // loop's modulus lets its store run past s_A; the coordinate's range
+  // joins over every decode of i_e, so the later, intact B-loop decode no
+  // longer hides the overflow.
+  const suite::SuiteEntry &Entry = suite::suiteEntry(14);
+  core::Cogent Generator(gpu::makeV100());
+  ErrorOr<core::GenerationResult> Result =
+      Generator.generate(Entry.contraction());
+  ASSERT_TRUE(Result.hasValue());
+  core::KernelPlan Plan(Entry.contraction(), Result->best().Config);
+  ASSERT_EQ(Plan.sliceElements(Operand::A), 128);
+  std::string Mutated = analysis::applyMutation(
+      core::emitCuda(Plan).KernelSource, MutationKind::WidenDecodeModulus);
+  LintReport Report = analysis::lintKernel(Plan, Mutated);
+  EXPECT_TRUE(hasFinding(Report, LintPass::BoundsCheck,
+                         "index into s_A can reach 143 but only 128 "
+                         "elements are declared"))
+      << renderAll(Report);
+}
+
 TEST(KernelLint, TruncationIsAStructureError) {
   Corpus C = makeCorpus();
   std::string Truncated = C.Source.substr(0, C.Source.size() / 2);

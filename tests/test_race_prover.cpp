@@ -431,6 +431,25 @@ TEST(RaceProver, DoubleBufferedSliceDecodesAreScopedPerLoop) {
 // Lint surface and rendering
 //===----------------------------------------------------------------------===//
 
+TEST(RaceProver, LoopVariableRangeJoinsEveryBindingLoop) {
+  // Both staging loops bind the cursor `l` (l < 128 for A, l < 384 for
+  // B); the range must cover the second loop's trips too.
+  Corpus C = makeCorpus();
+  ErrorOr<analysis::KernelModel> Model =
+      analysis::parseKernelSource(C.Source);
+  ASSERT_TRUE(Model.hasValue());
+  analysis::DefCensus Defs = analysis::censusDefs(*Model);
+  ASSERT_EQ(Defs.Loops["l"].size(), 2u);
+  EXPECT_EQ(C.Plan.sliceElements(ir::Operand::A), 128);
+  EXPECT_EQ(C.Plan.sliceElements(ir::Operand::B), 384);
+  analysis::Env Ambient = analysis::buildAmbient(*Model, C.TC, Defs);
+  analysis::RangeAnalysis Ranges(*Model, Ambient, Defs);
+  std::optional<analysis::ValueRange> L = Ranges.ofName("l");
+  ASSERT_TRUE(L.has_value());
+  EXPECT_EQ(L->Lo, 0);
+  EXPECT_EQ(L->Hi, 383);
+}
+
 TEST(RaceProver, LintSurfacesProverFindingsAsPasses10To12) {
   using analysis::LintPass;
   EXPECT_TRUE(analysis::isRacePass(LintPass::Uniformity));
