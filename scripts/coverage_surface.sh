@@ -13,7 +13,7 @@
 #
 # Writes data/coverage_surface.txt: one "path: function" line per src/
 # function with zero calls, sorted and without line numbers, so the file
-# is a trajectory that only moves when the surface does. ROADMAP.md item 7
+# is a trajectory that only moves when the surface does. ROADMAP.md item 5
 # says why each remaining group stays. Exit codes of the driven runs are
 # logged, not judged (several flows are expected to fail); this script
 # fails only when the build or the gcov pass fails.

@@ -801,6 +801,9 @@ LintReport cogent::analysis::lintKernel(const KernelPlan &Plan,
 
 namespace {
 
+/// Threads per warp for the coalescing replay.
+constexpr int64_t ReplayWarpSize = 32;
+
 /// Identical reduction to gpu::KernelSimulator's countSegments: addresses
 /// to transaction-granularity segments, then distinct segments.
 uint64_t countSegments(std::vector<int64_t> &Addrs, unsigned ElementSize,
@@ -825,6 +828,61 @@ bool bodyContainsStoreTo(const std::vector<Stmt> &Body,
   });
   return Found;
 }
+
+/// A copy of a base environment that a replay loop reuses across its
+/// iterations instead of copying the base per iteration. One iteration
+/// binds \p Binds, then runs \p Steps in order; execScalar writes only a
+/// scalar step's Name, and every other step only reads. reset() restores
+/// the base value of each name an iteration writes, and drops a written
+/// name the base lacks only where some step may read it before the
+/// iteration writes it; elsewhere the write overwrites the stale value
+/// before anything reads it. Each iteration thus sees a fresh copy.
+class ScratchEnv {
+public:
+  ScratchEnv(const Env &Base, const std::vector<std::string> &Binds,
+             const std::vector<const Stmt *> &Steps)
+      : E(Base) {
+    std::set<std::string> Written, Read;
+    auto write = [&](const std::string &Name) {
+      if (!Written.insert(Name).second)
+        return;
+      if (auto It = E.find(Name); It != E.end())
+        Restore.emplace_back(&It->second, It->second);
+      else if (Read.count(Name))
+        Drop.push_back(Name);
+    };
+    for (const std::string &Name : Binds)
+      write(Name);
+    for (const Stmt *S : Steps) {
+      std::vector<std::string> Names;
+      collectVars(S->Value, Names);
+      collectVars(S->Index, Names);
+      if (S->Kind == StmtKind::CompoundMul || S->Kind == StmtKind::CompoundDiv)
+        Names.push_back(S->Name);
+      Read.insert(Names.begin(), Names.end());
+      if (isScalarStmt(*S))
+        write(S->Name);
+    }
+  }
+  // Restore points into E: a copy would restore into the original.
+  ScratchEnv(const ScratchEnv &) = delete;
+  ScratchEnv &operator=(const ScratchEnv &) = delete;
+
+  Env &reset() {
+    for (auto &[Slot, Value] : Restore)
+      *Slot = Value;
+    for (const std::string &Name : Drop)
+      E.erase(Name);
+    return E;
+  }
+
+private:
+  Env E;
+  /// Base names an iteration writes: where their value lives in E (nodes
+  /// never move) and the value to put back.
+  std::vector<std::pair<int64_t *, int64_t>> Restore;
+  std::vector<std::string> Drop;
+};
 
 struct Replay {
   const KernelModel &M;
@@ -856,17 +914,20 @@ struct Replay {
     uint64_t *Slot = bodyContainsStoreTo(Loop.Body, "s_A")
                          ? &Result.TransactionsA
                          : &Result.TransactionsB;
+    std::vector<const Stmt *> Steps;
+    for (const Stmt &S : Loop.Body)
+      Steps.push_back(&S);
+    ScratchEnv Scratch(StepEnv, {Loop.LoopVar}, Steps);
     std::vector<int64_t> Addrs;
     for (int64_t RoundBase = 0; RoundBase < *SliceElems;
          RoundBase += NumThreads) {
       int64_t RoundEnd = std::min(RoundBase + NumThreads, *SliceElems);
       for (int64_t WarpBase = RoundBase; WarpBase < RoundEnd;
-           WarpBase += Opts.WarpSize) {
-        int64_t WarpEnd =
-            std::min<int64_t>(WarpBase + Opts.WarpSize, RoundEnd);
+           WarpBase += ReplayWarpSize) {
+        int64_t WarpEnd = std::min(WarpBase + ReplayWarpSize, RoundEnd);
         Addrs.clear();
         for (int64_t Elem = WarpBase; Elem < WarpEnd; ++Elem) {
-          Env E = StepEnv;
+          Env &E = Scratch.reset();
           E[Loop.LoopVar] = Elem;
           for (const Stmt &S : Loop.Body) {
             if (isScalarStmt(S)) {
@@ -949,21 +1010,23 @@ struct Replay {
         }
         if (!Store)
           return fail("store loop nest has no g_C store");
+        std::vector<const Stmt *> Steps = ThreadStmts;
+        Steps.insert(Steps.end(), PerThread.begin(), PerThread.end());
+        ScratchEnv Scratch(EnvY,
+                           {"threadIdx.x", "threadIdx.y", "get_local_id(0)",
+                            "get_local_id(1)"},
+                           Steps);
         for (int64_t WarpBase = 0; WarpBase < NumThreads;
-             WarpBase += Opts.WarpSize) {
-          int64_t WarpEnd =
-              std::min<int64_t>(WarpBase + Opts.WarpSize, NumThreads);
+             WarpBase += ReplayWarpSize) {
+          int64_t WarpEnd = std::min(WarpBase + ReplayWarpSize, NumThreads);
           Addrs.clear();
           for (int64_t Tid = WarpBase; Tid < WarpEnd; ++Tid) {
-            Env E = EnvY;
+            Env &E = Scratch.reset();
             E["threadIdx.x"] = Tid % TBX;
             E["threadIdx.y"] = Tid / TBX;
             E["get_local_id(0)"] = Tid % TBX;
             E["get_local_id(1)"] = Tid / TBX;
-            for (const Stmt *S : ThreadStmts)
-              if (!mustExec(*S, E))
-                return false;
-            for (const Stmt *S : PerThread)
+            for (const Stmt *S : Steps)
               if (!mustExec(*S, E))
                 return false;
             bool GuardOk = true;

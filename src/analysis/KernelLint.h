@@ -120,8 +120,6 @@ std::optional<LintMode> lintModeFromName(const std::string &Name);
 struct LintOptions {
   LintMode Mode = LintMode::Strict;
   unsigned ElementSize = 8;
-  /// Threads per warp for predictTransactions' coalescing replay.
-  unsigned WarpSize = 32;
   unsigned TransactionBytes = 128;
   /// Per-thread register budget the RegisterPressure pass checks against
   /// (CUDA's 255 architectural limit by default; the pipeline syncs it

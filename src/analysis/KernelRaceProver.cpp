@@ -314,23 +314,6 @@ UniformityInfo uniformityOf(const TaintResult &T, const DataflowInfo &Flow) {
   return Info;
 }
 
-} // namespace
-
-Uniformity UniformityInfo::classOf(const DataflowInfo &Flow,
-                                   const std::string &Name) const {
-  std::optional<unsigned> Loc = Flow.location(Name);
-  if (!Loc || *Loc >= Classes.size())
-    return Uniformity::Unknown;
-  return Classes[*Loc];
-}
-
-UniformityInfo analyzeUniformity(const KernelModel &M,
-                                 const DataflowInfo &Flow) {
-  return uniformityOf(runTaint(M, Flow), Flow);
-}
-
-namespace {
-
 //===----------------------------------------------------------------------===//
 // Barrier-loop index
 //===----------------------------------------------------------------------===//

@@ -97,7 +97,8 @@ const char *uniformityName(Uniformity U);
 /// Inverse of uniformityName; std::nullopt for unknown names.
 std::optional<Uniformity> uniformityFromName(const std::string &Name);
 
-/// Result of the taint analysis, parallel to DataflowInfo::Locations.
+/// Result of the taint analysis (RaceReport::Uniform), parallel to
+/// DataflowInfo::Locations.
 struct UniformityInfo {
   /// Classes[i] classifies DataflowInfo::Locations[i]. Array locations
   /// carry the join over their stored values' classes.
@@ -107,15 +108,7 @@ struct UniformityInfo {
   /// interval may observe *different* values even when the value is
   /// thread-uniform (they can sit at different iterations).
   std::vector<bool> IterationPrivate;
-
-  /// Class of \p Name under \p Flow's location table; Unknown when the
-  /// name is not a location.
-  Uniformity classOf(const DataflowInfo &Flow, const std::string &Name) const;
 };
-
-/// Runs the taint fixpoint over \p M against \p Flow's location table.
-UniformityInfo analyzeUniformity(const KernelModel &M,
-                                 const DataflowInfo &Flow);
 
 //===----------------------------------------------------------------------===//
 // Findings

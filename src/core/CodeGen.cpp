@@ -16,7 +16,6 @@
 #include "analysis/SourceMutator.h"
 #include "support/Counters.h"
 #include "support/FaultInjection.h"
-#include "support/StringUtils.h"
 
 #include <cassert>
 #include <sstream>

@@ -529,8 +529,7 @@ searchDone:
          {"raw_configs", std::to_string(Local.RawConfigs)}});
   }
 
-  if (Set.Triples.empty() && Options.RelaxWhenEmpty &&
-      !PerfPrunedOnly.empty()) {
+  if (Set.Triples.empty() && !PerfPrunedOnly.empty()) {
     ++NumRelaxations;
     support::traceInstant(
         "enumerator.relaxation",

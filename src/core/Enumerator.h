@@ -44,9 +44,6 @@ struct EnumerationOptions {
   /// Performance-constraint toggles (ablation hooks; both on in the paper).
   bool EnforceFviConstraints = true;
   bool EnforceMinBlocks = true;
-  /// When pruning removes every candidate (tiny problems), progressively
-  /// relax performance constraints instead of failing.
-  bool RelaxWhenEmpty = true;
   /// Cooperative resource budget, synced from CogentOptions::Budget by
   /// Cogent::generate. 0 = unlimited. MaxConfigs caps the number of full
   /// configurations examined; DeadlineMs bounds the wall clock of the
@@ -166,9 +163,10 @@ public:
              EnumerationOptions Options = EnumerationOptions());
 
   /// Builds the partials and prunes their product; fills \p Stats when
-  /// non-null. Never returns an empty set for a valid contraction
-  /// (relaxation kicks in for degenerate problems when RelaxWhenEmpty is
-  /// set).
+  /// non-null. When performance pruning removes every candidate (tiny
+  /// problems), the performance-pruned ones survive instead (relaxation).
+  /// The set can still be empty: every candidate over a hardware limit, or
+  /// a budget that cut the search short.
   CandidateSet search(EnumerationStats *Stats = nullptr) const;
 
   /// search(), with every surviving configuration built.

@@ -250,25 +250,11 @@ int64_t Contraction::numElements(Operand Op) const {
   return N;
 }
 
-int64_t Contraction::internalExtent() const {
-  int64_t N = 1;
-  for (char C : internalIndices())
-    N = checkedProductAssert(N, extent(C));
-  return N;
-}
-
 double Contraction::flopCount() const {
   double Flops = 2.0;
   for (char C : allIndices())
     Flops *= static_cast<double>(extent(C));
   return Flops;
-}
-
-double Contraction::minBytesMoved(unsigned ElementSize) const {
-  double Bytes = 0.0;
-  for (Operand Op : {Operand::C, Operand::A, Operand::B})
-    Bytes += static_cast<double>(numElements(Op)) * ElementSize;
-  return Bytes;
 }
 
 std::string Contraction::toString() const {

@@ -121,17 +121,9 @@ public:
   /// Number of elements of one operand: product of its index extents.
   int64_t numElements(Operand Op) const;
 
-  /// Product of the extents of all internal indices (the paper's
-  /// N_e x N_f term; the sequential reduction length).
-  int64_t internalExtent() const;
-
   /// Useful-arithmetic count: 2 * prod(extent of every index) fused
   /// multiply-add work, the figure-of-merit denominator for GFLOPS.
   double flopCount() const;
-
-  /// Bytes touched once for the three tensors at \p ElementSize bytes per
-  /// element (the compulsory traffic lower bound).
-  double minBytesMoved(unsigned ElementSize) const;
 
   /// Renders back to "C-A-B" notation.
   std::string toString() const;

@@ -38,8 +38,8 @@ namespace cogent {
 namespace service {
 
 /// Circuit-breaker states (docs/ARCHITECTURE.md §15). Lives here rather
-/// than in GenerationService so the exporter label table is a public,
-/// round-trip-tested name set.
+/// than in GenerationService so the names in a breaker transition's trace
+/// detail ("closed->open") are a public, round-trip-tested name set.
 enum class BreakerState : unsigned { Closed, Open, HalfOpen };
 
 /// Number of BreakerState enumerators; keep in sync when extending the

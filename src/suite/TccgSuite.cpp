@@ -6,15 +6,8 @@
 
 #include "suite/TccgSuite.h"
 
-#include "support/StringUtils.h"
-
 #include <algorithm>
 #include <cassert>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 using namespace cogent;
 using namespace cogent::suite;
@@ -181,91 +174,4 @@ std::vector<SuiteEntry> cogent::suite::sd2Set() {
     if (Entry.Name.rfind("sd2_", 0) == 0)
       Result.push_back(Entry);
   return Result;
-}
-
-ErrorOr<std::vector<SuiteEntry>>
-cogent::suite::parseSuiteListing(const std::string &Text) {
-  std::vector<SuiteEntry> Entries;
-  std::istringstream In(Text);
-  std::string RawLine;
-  int LineNo = 0;
-  while (std::getline(In, RawLine)) {
-    ++LineNo;
-    std::string Line = trim(RawLine);
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    auto lineError = [&](ErrorCode Code, const std::string &Message) {
-      return Error(Code, Message)
-          .withContext("suite listing line " + std::to_string(LineNo));
-    };
-
-    std::istringstream Fields(Line);
-    std::vector<std::string> Tokens;
-    std::string Token;
-    while (Fields >> Token)
-      Tokens.push_back(Token);
-    if (Tokens.size() < 4)
-      return lineError(ErrorCode::InvalidSpec,
-                       "expected \"id name family spec extents...\", got "
-                       "only " + std::to_string(Tokens.size()) + " fields");
-
-    SuiteEntry Entry;
-    char *IdEnd = nullptr;
-    long Id = std::strtol(Tokens[0].c_str(), &IdEnd, 10);
-    if (IdEnd == Tokens[0].c_str() || *IdEnd != '\0' || Id <= 0 ||
-        Id > INT_MAX)
-      return lineError(ErrorCode::InvalidSpec,
-                       "id field \"" + Tokens[0] +
-                       "\" is not a positive integer up to " +
-                       std::to_string(INT_MAX));
-    Entry.Id = static_cast<int>(Id);
-    Entry.Name = Tokens[1];
-
-    bool FamilyKnown = false;
-    for (Category Cat : {Category::MachineLearning, Category::AoMoTransform,
-                         Category::Ccsd, Category::CcsdT})
-      if (Tokens[2] == categoryName(Cat)) {
-        Entry.Cat = Cat;
-        FamilyKnown = true;
-      }
-    if (!FamilyKnown)
-      return lineError(ErrorCode::InvalidSpec,
-                       "unknown family \"" + Tokens[2] + "\"");
-
-    Entry.Spec = Tokens[3];
-    for (size_t I = 4; I < Tokens.size(); ++I) {
-      const std::string &Ext = Tokens[I];
-      char *ValueEnd = nullptr;
-      long long Value = 0;
-      if (Ext.size() >= 3 && Ext[1] == '=')
-        Value = std::strtoll(Ext.c_str() + 2, &ValueEnd, 10);
-      if (Ext.size() < 3 || Ext[1] != '=' || ValueEnd == Ext.c_str() + 2 ||
-          *ValueEnd != '\0')
-        return lineError(ErrorCode::InvalidSpec,
-                         "extent field \"" + Ext +
-                         "\" is not of the form x=N");
-      Entry.Extents.emplace_back(Ext[0], static_cast<int64_t>(Value));
-    }
-
-    // The entry must describe a well-formed contraction; reuse the parser
-    // so extent errors (zero, overflow, unknown index) surface here with
-    // the line number attached.
-    if (ErrorOr<ir::Contraction> TC = Entry.tryContraction(); !TC)
-      return TC.takeError().withContext("suite listing line " +
-                                        std::to_string(LineNo));
-    Entries.push_back(std::move(Entry));
-  }
-  return Entries;
-}
-
-ErrorOr<std::vector<SuiteEntry>>
-cogent::suite::loadSuiteFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In.good())
-    return Error(ErrorCode::InvalidSpec,
-                 "cannot read suite file \"" + Path + "\"");
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return std::move(parseSuiteListing(Text.str()))
-      .withContext("loading \"" + Path + "\"");
 }

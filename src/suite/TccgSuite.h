@@ -45,8 +45,7 @@ struct SuiteEntry {
   std::vector<std::pair<char, int64_t>> Extents;
 
   /// Parses at full representative size, propagating a typed error (with
-  /// the entry named in the context chain) for inconsistent entries —
-  /// e.g. ones loaded from a corrupted data file.
+  /// the entry named in the context chain) for an inconsistent entry.
   ErrorOr<ir::Contraction> tryContraction() const;
 
   /// tryContraction with every extent clamped to \p MaxExtent — small
@@ -72,17 +71,6 @@ const SuiteEntry &suiteEntry(int Id);
 /// The SD2 subset (ids 31-39) used by the Tensor Comprehensions comparison
 /// in Figs. 6-8.
 std::vector<SuiteEntry> sd2Set();
-
-/// Parses an artifact-style suite listing (the data/tccg_suite.txt format:
-/// "id name family spec x=E y=E ..." per line, '#' comments and blank
-/// lines skipped). Every entry is validated — unknown families, unparsable
-/// ids/extents and malformed contraction specs all come back as a typed
-/// error naming the offending line instead of aborting.
-ErrorOr<std::vector<SuiteEntry>> parseSuiteListing(const std::string &Text);
-
-/// parseSuiteListing over the contents of \p Path; fails with a typed
-/// error when the file cannot be read.
-ErrorOr<std::vector<SuiteEntry>> loadSuiteFile(const std::string &Path);
 
 } // namespace suite
 } // namespace cogent

@@ -165,13 +165,6 @@ uint8_t FaultInjector::corruptByte(uint64_t Pos) const {
   return static_cast<uint8_t>(mix64(Options.Seed ^ ~Pos));
 }
 
-uint64_t FaultInjector::firedTotal() const {
-  uint64_t Total = 0;
-  for (unsigned I = 0; I < NumChaosSites; ++I)
-    Total += Fired[I].load(std::memory_order_relaxed);
-  return Total;
-}
-
 //===----------------------------------------------------------------------===//
 // Activation
 //===----------------------------------------------------------------------===//

@@ -140,8 +140,6 @@ public:
   uint64_t fired(ChaosSite Site) const {
     return Fired[static_cast<size_t>(Site)].load(std::memory_order_relaxed);
   }
-  /// Total firings across all sites.
-  uint64_t firedTotal() const;
 
 private:
   uint64_t draw(ChaosSite Site);

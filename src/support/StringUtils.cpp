@@ -26,17 +26,6 @@ std::vector<std::string> cogent::split(const std::string &Text,
   return Pieces;
 }
 
-std::string cogent::join(const std::vector<std::string> &Pieces,
-                         const std::string &Separator) {
-  std::string Result;
-  for (size_t I = 0; I < Pieces.size(); ++I) {
-    if (I != 0)
-      Result += Separator;
-    Result += Pieces[I];
-  }
-  return Result;
-}
-
 std::string cogent::trim(const std::string &Text) {
   size_t Begin = 0;
   size_t End = Text.size();
@@ -46,8 +35,4 @@ std::string cogent::trim(const std::string &Text) {
          std::isspace(static_cast<unsigned char>(Text[End - 1])))
     --End;
   return Text.substr(Begin, End - Begin);
-}
-
-std::string cogent::indent(unsigned Level) {
-  return std::string(static_cast<size_t>(Level) * 2, ' ');
 }

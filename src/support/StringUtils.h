@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String splitting/joining/trimming helpers used by the contraction parser
-/// and the CUDA source emitter.
+/// String splitting and trimming helpers used by the contraction parser.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,15 +21,8 @@ namespace cogent {
 /// so "a--b" split on '-' yields {"a", "", "b"}.
 std::vector<std::string> split(const std::string &Text, char Separator);
 
-/// Joins \p Pieces with \p Separator between consecutive elements.
-std::string join(const std::vector<std::string> &Pieces,
-                 const std::string &Separator);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string trim(const std::string &Text);
-
-/// Repeats two-space indentation \p Level times; used by the code emitter.
-std::string indent(unsigned Level);
 
 } // namespace cogent
 

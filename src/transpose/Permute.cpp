@@ -23,11 +23,3 @@ bool cogent::transpose::isValidPermutation(const std::vector<unsigned> &Perm,
   }
   return true;
 }
-
-std::vector<unsigned>
-cogent::transpose::invertPermutation(const std::vector<unsigned> &Perm) {
-  std::vector<unsigned> Inverse(Perm.size());
-  for (unsigned I = 0; I < Perm.size(); ++I)
-    Inverse[Perm[I]] = I;
-  return Inverse;
-}

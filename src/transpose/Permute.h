@@ -26,9 +26,6 @@ namespace transpose {
 /// Validates a permutation vector: a bijection of [0, rank).
 bool isValidPermutation(const std::vector<unsigned> &Perm, unsigned Rank);
 
-/// Returns the inverse permutation.
-std::vector<unsigned> invertPermutation(const std::vector<unsigned> &Perm);
-
 namespace detail {
 /// Generic odometer-driven permutation copy operating on raw buffers.
 ///

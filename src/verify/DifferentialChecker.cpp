@@ -29,6 +29,13 @@ COGENT_COUNTER(NumDiffFailures, "verifier.diff-failures",
 
 namespace {
 
+/// The checker executes doubles only.
+constexpr unsigned ElementSize = 8;
+/// Relative numeric tolerance between simulator and reference.
+constexpr double NumericTolerance = 1e-9;
+/// Absolute transactions forgiven before TrafficFactor applies.
+constexpr double TrafficSlack = 64.0;
+
 /// NaN-aware elementwise agreement: both NaN, both the same infinity, or
 /// within relative/absolute tolerance. Returns the finite relative error
 /// (0 for agreeing specials), or nullopt on divergence.
@@ -106,7 +113,7 @@ ErrorOr<TrialOutcome> runTrial(const ir::Contraction &TC,
   TrialOutcome Outcome;
   for (int64_t I = 0, E = CRef.numElements(); I < E; ++I) {
     std::optional<double> Rel =
-        compareElements(CSim.at(I), CRef.at(I), Options.NumericTolerance);
+        compareElements(CSim.at(I), CRef.at(I), NumericTolerance);
     if (!Rel)
       return Fail("schedule diverges from the reference at element " +
                   std::to_string(I) + ": simulated " +
@@ -116,13 +123,12 @@ ErrorOr<TrialOutcome> runTrial(const ir::Contraction &TC,
   }
 
   core::TransactionCost Model =
-      core::estimateTransactions(Plan, Options.ElementSize,
-                                 Device.TransactionBytes);
+      core::estimateTransactions(Plan, ElementSize, Device.TransactionBytes);
   double Simulated = static_cast<double>(Result.totalTransactions());
   double Modeled = Model.total();
   double Hi = std::max(Simulated, Modeled);
   double Lo = std::min(Simulated, Modeled);
-  if (Hi > Lo * Options.TrafficFactor + Options.TrafficSlack)
+  if (Hi > Lo * Options.TrafficFactor + TrafficSlack)
     return Fail("modeled traffic " + std::to_string(Modeled) +
                 " and simulated traffic " + std::to_string(Simulated) +
                 " disagree beyond factor " +
@@ -170,28 +176,23 @@ verify::runDifferentialCheck(const ir::Contraction &TC,
       return std::move(*E);
   }
 
-  if (Options.SeedSpecialValues) {
-    if (std::optional<Error> E =
-            Accumulate(runTrial(TC, Config, Device, Options, Gen,
-                                /*SeedSpecials=*/true),
-                       "special-value trial"))
-      return std::move(*E);
-  }
+  if (std::optional<Error> E =
+          Accumulate(runTrial(TC, Config, Device, Options, Gen,
+                              /*SeedSpecials=*/true),
+                     "special-value trial"))
+    return std::move(*E);
 
-  if (Options.ProbeOverflow) {
-    // Extents near 2^31.5 per index: any product of two or more overflows
-    // int64, so planning must be impossible — the parser has to reject this
-    // with a typed error (Checked.h), never hand it to the scheduler.
-    std::vector<std::pair<char, int64_t>> Huge;
-    for (char Name : TC.allIndices())
-      Huge.emplace_back(Name, int64_t(3037000499LL));
-    ErrorOr<ir::Contraction> Overflow = ir::Contraction::parse(Spec, Huge);
-    if (Overflow) {
-      ++NumDiffFailures;
-      return Error(ErrorCode::VerificationFailed,
-                   "overflow-prone extents were accepted by the parser for " +
-                       Spec);
-    }
+  // Extents near 2^31.5 per index: any product of two or more overflows
+  // int64, so planning must be impossible — the parser has to reject this
+  // with a typed error (Checked.h), never hand it to the scheduler.
+  std::vector<std::pair<char, int64_t>> Huge;
+  for (char Name : TC.allIndices())
+    Huge.emplace_back(Name, int64_t(3037000499LL));
+  if (ir::Contraction::parse(Spec, Huge)) {
+    ++NumDiffFailures;
+    return Error(ErrorCode::VerificationFailed,
+                 "overflow-prone extents were accepted by the parser for " +
+                     Spec);
   }
 
   return Report;

@@ -42,19 +42,10 @@ struct DifferentialOptions {
   /// Upper clamp for randomized per-index extents; keeps the dense oracle
   /// affordable.
   int64_t MaxExtent = 10;
-  /// 8 = double (the only element size the checker executes).
-  unsigned ElementSize = 8;
-  /// Relative numeric tolerance between simulator and reference.
-  double NumericTolerance = 1e-9;
   /// Allowed multiplicative disagreement between simulated and modeled
-  /// transaction totals (either direction), after \p TrafficSlack absolute
+  /// transaction totals (either direction), after 64 absolute
   /// transactions are forgiven for tiny-tile boundary effects.
   double TrafficFactor = 4.0;
-  double TrafficSlack = 64.0;
-  /// Seed NaN/Inf/denormal values into the operands of one extra trial.
-  bool SeedSpecialValues = true;
-  /// Probe that overflow-prone extents are rejected as typed errors.
-  bool ProbeOverflow = true;
 };
 
 /// What a successful differential check measured.

@@ -174,14 +174,3 @@ ErrorOr<void> PlanVerifier::verifySource(const core::GeneratedSource &Source)
                 std::to_string(Depth) + " unclosed '{'), likely truncated");
   return {};
 }
-
-ErrorOr<void> PlanVerifier::verifyAll(const core::KernelPlan &Plan,
-                                      const core::TransactionCost &Cost,
-                                      const core::GeneratedSource &Source)
-    const {
-  if (ErrorOr<void> Check = verifyPlan(Plan); !Check)
-    return Check;
-  if (ErrorOr<void> Check = verifyCost(Plan, Cost); !Check)
-    return Check;
-  return verifySource(Source);
-}

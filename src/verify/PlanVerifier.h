@@ -73,11 +73,6 @@ public:
   /// emissions.
   ErrorOr<void> verifySource(const core::GeneratedSource &Source) const;
 
-  /// All three checks in sequence; first failure wins.
-  ErrorOr<void> verifyAll(const core::KernelPlan &Plan,
-                          const core::TransactionCost &Cost,
-                          const core::GeneratedSource &Source) const;
-
   const gpu::DeviceSpec &device() const { return Device; }
   unsigned elementSize() const { return ElementSize; }
 

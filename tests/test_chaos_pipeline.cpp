@@ -73,10 +73,13 @@ uint64_t runOne(const Cogent &Generator, const Contraction &TC,
                                   : TC;
   for (const core::GeneratedKernel &Kernel : Result->Kernels) {
     core::KernelPlan Plan(PlanTC, Kernel.Config);
-    ErrorOr<void> Check = Verifier.verifyAll(Plan, Kernel.Cost, Kernel.Source);
-    EXPECT_TRUE(Check.hasValue())
-        << "seed " << Seed << " site " << support::chaosSiteName(Site) << ": "
-        << Check.errorMessage();
+    ErrorOr<void> Checks[] = {Verifier.verifyPlan(Plan),
+                              Verifier.verifyCost(Plan, Kernel.Cost),
+                              Verifier.verifySource(Kernel.Source)};
+    for (const ErrorOr<void> &Check : Checks)
+      EXPECT_TRUE(Check.hasValue())
+          << "seed " << Seed << " site " << support::chaosSiteName(Site)
+          << ": " << Check.errorMessage();
   }
 
   // Firings are recorded in the run's counter delta, per site and total.

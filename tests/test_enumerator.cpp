@@ -286,7 +286,7 @@ std::vector<KernelConfig> materialisingSearch(const Contraction &TC,
       }
 done:
   Stats.Survivors = Survivors.size();
-  if (Survivors.empty() && Options.RelaxWhenEmpty)
+  if (Survivors.empty())
     return PerfPruned;
   return Survivors;
 }

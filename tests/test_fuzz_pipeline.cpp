@@ -135,69 +135,6 @@ std::string mutateSpec(Rng &Gen, std::string Spec) {
   return Spec;
 }
 
-/// The built-in suite rendered in the data/tccg_suite.txt listing format.
-std::string renderSuiteListing() {
-  std::string Text = "# id name family spec extents\n";
-  for (const suite::SuiteEntry &Entry : suite::tccgSuite()) {
-    Text += std::to_string(Entry.Id) + " " + Entry.Name + " " +
-            suite::categoryName(Entry.Cat) + " " + Entry.Spec;
-    for (const auto &[Name, Extent] : Entry.Extents)
-      Text += std::string(" ") + Name + "=" + std::to_string(Extent);
-    Text += "\n";
-  }
-  return Text;
-}
-
-/// [begin, end) of every whitespace-separated token of \p Text.
-std::vector<std::pair<size_t, size_t>> tokenSpans(const std::string &Text) {
-  std::vector<std::pair<size_t, size_t>> Spans;
-  auto isSpace = [](char C) { return C == ' ' || C == '\t' || C == '\n'; };
-  for (size_t I = 0; I < Text.size();) {
-    if (isSpace(Text[I])) {
-      ++I;
-      continue;
-    }
-    size_t Begin = I;
-    while (I < Text.size() && !isSpace(Text[I]))
-      ++I;
-    Spans.emplace_back(Begin, I);
-  }
-  return Spans;
-}
-
-/// Applies one listing-level corruption: a byte flip, a dropped or
-/// duplicated token, or an id replaced by one outside [1, INT_MAX].
-void mutateListing(Rng &Gen, std::string &Text) {
-  std::vector<std::pair<size_t, size_t>> Spans = tokenSpans(Text);
-  if (Text.empty() || Spans.empty())
-    return;
-  auto [Begin, End] =
-      Spans[Gen.uniformInt(0, static_cast<int64_t>(Spans.size()) - 1)];
-  switch (Gen.uniformInt(0, 3)) {
-  case 0: // flip one bit of one byte
-    Text[Gen.uniformInt(0, static_cast<int64_t>(Text.size()) - 1)] ^=
-        static_cast<char>(1 << Gen.uniformInt(0, 7));
-    break;
-  case 1: // drop a token
-    Text.erase(Begin, End - Begin);
-    break;
-  case 2: // duplicate a token
-    Text.insert(End, " " + Text.substr(Begin, End - Begin));
-    break;
-  default: { // a huge (or negative) id on a random entry line
-    const char *const Ids[] = {"2147483648", "99999999999999999999",
-                               "18446744073709551616", "-1", "0"};
-    size_t LineBegin = Text.rfind('\n', Begin);
-    LineBegin = LineBegin == std::string::npos ? 0 : LineBegin + 1;
-    size_t IdEnd = Text.find_first_of(" \t\n", LineBegin);
-    if (IdEnd == std::string::npos)
-      IdEnd = Text.size();
-    Text.replace(LineBegin, IdEnd - LineBegin, Ids[Gen.uniformInt(0, 4)]);
-    break;
-  }
-  }
-}
-
 /// Draws a device spec: the two real models plus hostile mutants with
 /// starved shared memory / registers / thread slots.
 gpu::DeviceSpec randomDevice(Rng &Gen) {
@@ -467,17 +404,22 @@ TEST(FuzzPipeline, SuiteGeneratesOnRealDevices) {
 }
 
 TEST(FuzzPipeline, MinimalTileFallbackOnDegenerateShapes) {
-  // All-extent-1: pruning leaves nothing even after relaxation on a normal
-  // device; the minimal-tile rung must absorb it.
-  ErrorOr<Contraction> TC = Contraction::parseUniform("i-ik-k", 1);
+  // The production path to the minimal-tile rung (what `cogent_cli ab-ak-kb
+  // 8 --smem-per-block 32` does): with 32 bytes of shared memory per block
+  // every enumerated candidate is hardware-pruned, so relaxation has
+  // nothing to relax and the minimal-tile rung must absorb the search.
+  ErrorOr<Contraction> TC = Contraction::parseUniform("ab-ak-kb", 8);
   ASSERT_TRUE(TC.hasValue());
-  core::CogentOptions Options;
-  Options.Enumeration.RelaxWhenEmpty = false;
-  Options.Enumeration.MinThreadBlocks = 1 << 30; // unreachable floor
-  core::Cogent Generator(gpu::makeV100());
-  ErrorOr<core::GenerationResult> Result = Generator.generate(*TC, Options);
+  gpu::DeviceSpec Device = gpu::makeV100();
+  Device.SharedMemPerBlock = 32;
+  ASSERT_TRUE(Device.validate().hasValue());
+  core::Cogent Generator(Device);
+  ErrorOr<core::GenerationResult> Result = Generator.generate(*TC);
   ASSERT_TRUE(Result.hasValue());
   EXPECT_EQ(Result->Fallback, FallbackLevel::MinimalTile);
+  EXPECT_EQ(Result->Stats.Survivors, 0u);
+  EXPECT_EQ(Result->Stats.PerformancePruned, 0u);
+  EXPECT_GT(Result->Stats.HardwarePruned, 0u);
   Rng Gen(7);
   checkNumerics(*TC, *Result, Gen);
 }
@@ -557,84 +499,6 @@ TEST(FuzzPipeline, TwentySixIndexBoundary) {
       core::Cogent(gpu::makeV100()).generate(*TC, Options);
   ASSERT_TRUE(Result.hasValue());
   EXPECT_FALSE(Result->empty());
-}
-
-TEST(FuzzPipeline, CorruptedSuiteListingReportsOffendingLine) {
-  // A bad spec on line 3 (index 'q' in only one tensor).
-  ErrorOr<std::vector<suite::SuiteEntry>> Bad = suite::parseSuiteListing(
-      "# comment\n"
-      "1 ml_1 ML abc-acd-db a=8 b=8 c=8 d=8\n"
-      "2 bad CCSD abq-ac-cb a=8 b=8 c=8 q=8\n");
-  ASSERT_FALSE(Bad.hasValue());
-  EXPECT_EQ(Bad.errorCode(), ErrorCode::InvalidSpec);
-  EXPECT_NE(Bad.errorMessage().find("line 3"), std::string::npos)
-      << Bad.errorMessage();
-
-  // Structural corruption: too few fields, bad id, unknown family, bad
-  // extent syntax, an id beyond int — each names its line.
-  const std::vector<std::pair<std::string, std::string>> Corruptions = {
-      {"1 ml_1 ML\n", "line 1"},
-      {"zero ml_1 ML abc-acd-db a=8 b=8 c=8 d=8\n", "line 1"},
-      {"\n\n7 x NOPE abc-acd-db a=8 b=8 c=8 d=8\n", "line 3"},
-      {"3 ml_1 ML abc-acd-db a=8 b=eight c=8 d=8\n", "line 1"},
-      {"4 ml_1 ML abc-acd-db a=8 b=8 c=8 d=0\n", "line 1"},
-      {"99999999999 big ML ab-ac-cb a=4 b=4 c=4\n", "line 1"},
-  };
-  for (const auto &[Text, Where] : Corruptions) {
-    ErrorOr<std::vector<suite::SuiteEntry>> Parsed =
-        suite::parseSuiteListing(Text);
-    ASSERT_FALSE(Parsed.hasValue()) << Text;
-    EXPECT_NE(Parsed.errorMessage().find(Where), std::string::npos)
-        << Parsed.errorMessage();
-  }
-
-  // And the pristine listing round-trips.
-  ErrorOr<std::vector<suite::SuiteEntry>> Good = suite::parseSuiteListing(
-      "1 ml_1 ML abc-acd-db a=8 b=8 c=8 d=8\n");
-  ASSERT_TRUE(Good.hasValue());
-  ASSERT_EQ(Good->size(), 1u);
-  EXPECT_EQ((*Good)[0].Name, "ml_1");
-  EXPECT_TRUE((*Good)[0].tryContraction().hasValue());
-}
-
-TEST(FuzzPipeline, MutatedSuiteListingsParseCleanOrNameALine) {
-  // The suite-file loader is an input boundary: every mutant of a rendered
-  // TCCG listing either parses into entries that all build a contraction,
-  // or fails as a typed InvalidSpec naming the offending line.
-  const std::string Pristine = renderSuiteListing();
-  ErrorOr<std::vector<suite::SuiteEntry>> Baseline =
-      suite::parseSuiteListing(Pristine);
-  ASSERT_TRUE(Baseline.hasValue()) << Baseline.errorMessage();
-  ASSERT_EQ(Baseline->size(), suite::tccgSuite().size());
-
-  Rng Gen(0x5117E);
-  int Parsed = 0, Rejected = 0;
-  for (int Iter = 0; Iter < 1500; ++Iter) {
-    std::string Text = Pristine;
-    for (int64_t M = Gen.uniformInt(1, 4); M > 0; --M)
-      mutateListing(Gen, Text);
-    ErrorOr<std::vector<suite::SuiteEntry>> Result =
-        suite::parseSuiteListing(Text);
-    if (Result) {
-      ++Parsed;
-      for (const suite::SuiteEntry &Entry : *Result) {
-        EXPECT_GE(Entry.Id, 1) << "iteration " << Iter << ": " << Entry.Name;
-        EXPECT_TRUE(Entry.tryContraction().hasValue())
-            << "iteration " << Iter << ": " << Entry.Name;
-      }
-      continue;
-    }
-    ++Rejected;
-    EXPECT_EQ(Result.errorCode(), ErrorCode::InvalidSpec)
-        << "iteration " << Iter << ": " << Result.errorMessage();
-    EXPECT_NE(Result.errorMessage().find("suite listing line "),
-              std::string::npos)
-        << "iteration " << Iter << ": " << Result.errorMessage();
-  }
-  // Both outcomes occur: some mutations are benign (a flipped comment
-  // byte, a duplicated extent), most are not.
-  EXPECT_GT(Parsed, 0);
-  EXPECT_GT(Rejected, 750);
 }
 
 } // namespace

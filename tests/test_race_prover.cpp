@@ -120,16 +120,22 @@ TEST(RaceProver, UniformityClassesOnCorpus) {
   ASSERT_TRUE(Model.hasValue());
   ErrorOr<analysis::DataflowInfo> Flow = analysis::buildDataflow(*Model);
   ASSERT_TRUE(Flow.hasValue());
-  analysis::UniformityInfo U = analysis::analyzeUniformity(*Model, *Flow);
+  const analysis::UniformityInfo U =
+      analysis::proveRaces(C.Plan, *Model, *Flow).Uniform;
+  auto classOf = [&](const std::string &Name) {
+    std::optional<unsigned> Loc = Flow->location(Name);
+    EXPECT_TRUE(Loc.has_value()) << Name;
+    return Loc ? U.Classes[*Loc] : Uniformity::Unknown;
+  };
 
   // Thread decode chain is thread-dependent; schema-uniform roles are not.
-  EXPECT_EQ(U.classOf(*Flow, "tid"), Uniformity::ThreadDependent);
-  EXPECT_EQ(U.classOf(*Flow, "t_a"), Uniformity::ThreadDependent);
-  EXPECT_EQ(U.classOf(*Flow, "numSteps"), Uniformity::Uniform);
-  EXPECT_EQ(U.classOf(*Flow, "totalBlocks"), Uniformity::Uniform);
-  EXPECT_EQ(U.classOf(*Flow, "base_a"), Uniformity::Uniform);
-  EXPECT_EQ(U.classOf(*Flow, "kbase_e"), Uniformity::Uniform);
-  EXPECT_EQ(U.classOf(*Flow, "strA_a"), Uniformity::Uniform);
+  EXPECT_EQ(classOf("tid"), Uniformity::ThreadDependent);
+  EXPECT_EQ(classOf("t_a"), Uniformity::ThreadDependent);
+  EXPECT_EQ(classOf("numSteps"), Uniformity::Uniform);
+  EXPECT_EQ(classOf("totalBlocks"), Uniformity::Uniform);
+  EXPECT_EQ(classOf("base_a"), Uniformity::Uniform);
+  EXPECT_EQ(classOf("kbase_e"), Uniformity::Uniform);
+  EXPECT_EQ(classOf("strA_a"), Uniformity::Uniform);
 
   // The cooperative slice cursor varies by thread *and* by iteration.
   bool FoundCursor = false;

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// Keeps data/tccg_suite.txt (the artifact-style human-readable listing of
-/// the benchmark inputs) in lockstep with the built-in suite. If either
-/// side changes without the other, this fails.
+/// the benchmark inputs) in lockstep with the built-in suite: the file must
+/// be exactly the rendering of tccgSuite() below. If either side changes
+/// without the other, this fails.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "suite/TccgSuite.h"
-#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -35,75 +35,41 @@ std::string findDataFile() {
   return std::string();
 }
 
+std::string padded(std::string Field, size_t Width) {
+  if (Field.size() < Width)
+    Field.resize(Width, ' ');
+  return Field;
+}
+
+/// The built-in suite in the data/tccg_suite.txt format: a two-line
+/// header, then "id name family spec x=E ..." per entry in aligned columns.
+std::string renderSuiteListing() {
+  std::string Text =
+      "# TCCG benchmark suite as built into src/suite/TccgSuite.cpp\n"
+      "# id  name     family   spec               extents\n";
+  for (const suite::SuiteEntry &Entry : suite::tccgSuite()) {
+    Text += padded(std::to_string(Entry.Id), 4) + padded(Entry.Name, 9) +
+            padded(suite::categoryName(Entry.Cat), 9) +
+            padded(Entry.Spec, 20);
+    const char *Separator = "";
+    for (const auto &[Name, Extent] : Entry.Extents) {
+      Text += Separator + std::string(1, Name) + "=" + std::to_string(Extent);
+      Separator = " ";
+    }
+    Text += "\n";
+  }
+  return Text;
+}
+
 TEST(SuiteData, FileMatchesBuiltInSuite) {
   std::string Path = findDataFile();
   if (Path.empty())
     GTEST_SKIP() << "data/tccg_suite.txt not found from the test directory";
 
   std::ifstream In(Path);
-  std::vector<std::vector<std::string>> Lines;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    Line = trim(Line);
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    std::istringstream Fields(Line);
-    std::vector<std::string> Tokens;
-    std::string Token;
-    while (Fields >> Token)
-      Tokens.push_back(Token);
-    Lines.push_back(std::move(Tokens));
-  }
-
-  const std::vector<suite::SuiteEntry> &Suite = suite::tccgSuite();
-  ASSERT_EQ(Lines.size(), Suite.size());
-  for (size_t I = 0; I < Suite.size(); ++I) {
-    const std::vector<std::string> &Tokens = Lines[I];
-    ASSERT_GE(Tokens.size(), 4u);
-    EXPECT_EQ(std::stoi(Tokens[0]), Suite[I].Id);
-    EXPECT_EQ(Tokens[1], Suite[I].Name);
-    EXPECT_EQ(Tokens[2], suite::categoryName(Suite[I].Cat));
-    EXPECT_EQ(Tokens[3], Suite[I].Spec);
-    // Per-index extents.
-    ASSERT_EQ(Tokens.size(), 4u + Suite[I].Extents.size());
-    for (size_t J = 0; J < Suite[I].Extents.size(); ++J) {
-      std::string Expected =
-          std::string(1, Suite[I].Extents[J].first) + "=" +
-          std::to_string(Suite[I].Extents[J].second);
-      EXPECT_EQ(Tokens[4 + J], Expected) << Suite[I].Name;
-    }
-  }
-}
-
-TEST(SuiteData, LoaderRoundTripsTheDataFile) {
-  std::string Path = findDataFile();
-  if (Path.empty())
-    GTEST_SKIP() << "data/tccg_suite.txt not found from the test directory";
-
-  ErrorOr<std::vector<suite::SuiteEntry>> Loaded = suite::loadSuiteFile(Path);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.errorMessage();
-
-  const std::vector<suite::SuiteEntry> &Suite = suite::tccgSuite();
-  ASSERT_EQ(Loaded->size(), Suite.size());
-  for (size_t I = 0; I < Suite.size(); ++I) {
-    const suite::SuiteEntry &L = (*Loaded)[I];
-    EXPECT_EQ(L.Id, Suite[I].Id);
-    EXPECT_EQ(L.Name, Suite[I].Name);
-    EXPECT_EQ(L.Cat, Suite[I].Cat);
-    EXPECT_EQ(L.Spec, Suite[I].Spec);
-    EXPECT_EQ(L.Extents, Suite[I].Extents) << Suite[I].Name;
-    EXPECT_TRUE(L.tryContraction().hasValue()) << Suite[I].Name;
-  }
-}
-
-TEST(SuiteData, MissingFileIsATypedError) {
-  ErrorOr<std::vector<suite::SuiteEntry>> Missing =
-      suite::loadSuiteFile("no/such/suite_listing.txt");
-  ASSERT_FALSE(Missing.hasValue());
-  EXPECT_EQ(Missing.errorCode(), ErrorCode::InvalidSpec);
-  EXPECT_NE(Missing.errorMessage().find("no/such/suite_listing.txt"),
-            std::string::npos)
-      << Missing.errorMessage();
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  EXPECT_EQ(Text.str(), renderSuiteListing());
 }
 
 } // namespace

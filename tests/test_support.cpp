@@ -43,23 +43,11 @@ TEST(StringUtils, SplitEmptyString) {
   EXPECT_EQ(Pieces[0], "");
 }
 
-TEST(StringUtils, JoinRoundTrip) {
-  std::vector<std::string> Pieces = {"abcd", "aebf", "dfce"};
-  EXPECT_EQ(join(Pieces, "-"), "abcd-aebf-dfce");
-  EXPECT_EQ(join({}, "-"), "");
-  EXPECT_EQ(join({"x"}, "-"), "x");
-}
-
 TEST(StringUtils, Trim) {
   EXPECT_EQ(trim("  abc \t\n"), "abc");
   EXPECT_EQ(trim("abc"), "abc");
   EXPECT_EQ(trim("   "), "");
   EXPECT_EQ(trim(""), "");
-}
-
-TEST(StringUtils, Indent) {
-  EXPECT_EQ(indent(0), "");
-  EXPECT_EQ(indent(2), "    ");
 }
 
 TEST(ErrorOr, HoldsValue) {
